@@ -36,6 +36,7 @@ from .fock import (
     homodyne_pdf_grid,
     photon_number_probability,
     quadrature_amplitude,
+    real_coordinates,
 )
 from .povm import (
     BinLayout,
@@ -98,6 +99,7 @@ __all__ = [
     "predicted_rank",
     "quadrature_amplitude",
     "rank_for",
+    "real_coordinates",
     "sample_homodyne",
     "simulate_dataset",
     "sweep_table",

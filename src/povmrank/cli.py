@@ -11,22 +11,13 @@ and prediction, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
-import math
 import sys
-from dataclasses import replace
 
 import numpy as np
 
-from .completeness import (
-    MeasurementSpec,
-    design_matrix,
-    numerical_rank,
-    povm_span_rank,
-    predicted_rank,
-    rank_for,
-    sweep_table,
-)
+from .completeness import default_phases, povm_span_rank, predicted_rank, rank_for, sweep_table
 from .fock import DensityMatrix, SupportSet, coherent_amplitudes
 from .povm import BinLayout, build_binned_quadrature_povm, default_x_max
 from .tomo import fidelity, ml_reconstruct, simulate_dataset
@@ -86,14 +77,14 @@ def parse_state_spec(spec: str, dim_override: int | None = None) -> DensityMatri
     raise ValueError(f"unknown state kind {kind!r}")
 
 
-def _parse_phases(args, parser: argparse.ArgumentParser) -> list:
+def _parse_phases(args, parser: argparse.ArgumentParser, dim: int) -> list:
     if args.phases is not None:
         try:
             phases = [float(p) for p in args.phases.split(",")]
         except ValueError:
             parser.error("--phases must be a comma-separated list of reals")
         return phases
-    return [j * math.pi / args.m for j in range(args.m)]
+    return default_phases(SupportSet.contiguous(dim), args.m)
 
 
 def _cmd_predict(args, parser) -> int:
@@ -136,12 +127,7 @@ def _cmd_rank(args, parser) -> int:
     try:
         if args.phases is not None:
             phases = [float(p) for p in args.phases.split(",")]
-            spec = MeasurementSpec.default(support, phases)
-            report = numerical_rank(design_matrix(spec), args.tol)
-            if support.is_contiguous:
-                report = replace(
-                    report, predicted_rank=predicted_rank(support.size, len(phases))
-                )
+            report = rank_for(support, len(phases), phases=phases, tolerance=args.tol)
         else:
             report = rank_for(support, args.m, tolerance=args.tol)
     except ValueError as exc:
@@ -162,7 +148,7 @@ def _cmd_simulate_reconstruct(args, parser) -> int:
     dim = rho_true.dim
     if args.phases is None and args.m is None:
         parser.error("one of --m or --phases is required")
-    phases = _parse_phases(args, parser)
+    phases = _parse_phases(args, parser, dim)
     n_bins = args.bins if args.bins is not None else 2 * dim - 1
     layout = BinLayout(x_max=default_x_max(dim), n_bins=n_bins, include_overflow=True)
     povms = [build_binned_quadrature_povm(theta, layout, dim) for theta in phases]
@@ -230,7 +216,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    # Parsing leaves the parser unchanged, so one instance serves every call.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     return args.func(args, parser)

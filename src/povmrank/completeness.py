@@ -9,18 +9,14 @@ design matrix whose singular spectrum certifies the count.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fock import SupportSet, hermite_function_table, hermitian_to_real_vector
-from .povm import (
-    BinLayout,
-    build_binned_quadrature_povm,
-    default_x_max,
-    displaced_number_operator,
-)
+from .fock import SupportSet, hermite_function_table, real_coordinates
+from .povm import BinLayout, _displacement, build_binned_quadrature_povm, default_x_max
 
 __all__ = [
     "CONTINUOUS_FUNCTIONAL",
@@ -166,34 +162,43 @@ class RankReport:
         )
 
 
+@functools.lru_cache(maxsize=64)
+def _hermgauss_nodes(n: int) -> np.ndarray:
+    """Gauss-Hermite node positions of order n, read-only."""
+    nodes = np.polynomial.hermite.hermgauss(n)[0]
+    nodes.flags.writeable = False
+    return nodes
+
+
 def design_matrix(spec: MeasurementSpec) -> np.ndarray:
     """Measurement functionals over the s^2 real coordinates of Hermitian
     operators on the support.
 
     Continuous-functional mode: one row per (phase, node), the density
-    functional rho -> p(x_i, theta_j), i.e. the vectorized rank-one
-    quadrature projector compressed to the support.  Binned-povm mode: one
-    row per POVM element of each phase's binned set, compressed likewise.
+    functional rho -> p(x_i, theta_j), i.e. the real coordinates of the
+    rank-one quadrature projector compressed to the support, written in
+    closed form: psi_k^2 on the diagonal, sqrt(2) psi_k psi_l times
+    (cos, sin)((k-l) theta) for support indices k < l.  Binned-povm mode:
+    one row per POVM element of each phase's binned set, compressed
+    likewise.
     """
     sup = np.array(spec.support.indices)
-    rows = []
     if spec.mode == CONTINUOUS_FUNCTIONAL:
-        nodes = np.polynomial.hermite.hermgauss(spec.x_nodes_per_phase)[0]
-        psi = hermite_function_table(int(sup[-1]), nodes)[sup]
-        for theta in spec.phases:
-            u = np.exp(1j * sup * theta)
-            for i in range(nodes.size):
-                amp = psi[:, i] * u
-                rows.append(hermitian_to_real_vector(np.outer(amp, amp.conj())))
-    else:
-        dim = spec.support.dim
-        layout = BinLayout(default_x_max(dim), spec.x_nodes_per_phase, include_overflow=True)
-        sel = np.ix_(sup, sup)
-        for theta in spec.phases:
-            povm = build_binned_quadrature_povm(theta, layout, dim)
-            for el in povm.elements:
-                rows.append(hermitian_to_real_vector(el[sel]))
-    return np.vstack(rows)
+        psi = hermite_function_table(int(sup[-1]), _hermgauss_nodes(spec.x_nodes_per_phase))[sup]
+        s, n_nodes = psi.shape
+        k, l = np.triu_indices(s, k=1)
+        pair = math.sqrt(2.0) * (psi[k] * psi[l]).T  # [node, pair]
+        angle = np.multiply.outer(spec.phases, sup[k] - sup[l])  # [phase, pair]
+        rows = np.empty((len(spec.phases), n_nodes, s * s))
+        rows[:, :, :s] = (psi * psi).T
+        rows[:, :, s : s + k.size] = np.cos(angle)[:, None, :] * pair
+        rows[:, :, s + k.size :] = np.sin(angle)[:, None, :] * pair
+        return rows.reshape(-1, s * s)
+    dim = spec.support.dim
+    layout = BinLayout(default_x_max(dim), spec.x_nodes_per_phase, include_overflow=True)
+    elements = [el for theta in spec.phases
+                for el in build_binned_quadrature_povm(theta, layout, dim).elements]
+    return real_coordinates(np.stack(elements)[:, sup[:, None], sup])
 
 
 def numerical_rank(matrix, tolerance: float | None = None) -> RankReport:
@@ -343,8 +348,8 @@ def povm_span_rank(sets, tolerance: float | None = None) -> RankReport:
     dim = sets[0].dim
     if any(ps.dim != dim for ps in sets):
         raise ValueError("all POVM sets must share the same dim")
-    rows = [hermitian_to_real_vector(el) for ps in sets for el in ps.elements]
-    return numerical_rank(np.vstack(rows), tolerance)
+    ops = np.stack([el for ps in sets for el in ps.elements])
+    return numerical_rank(real_coordinates(ops), tolerance)
 
 
 def displaced_counting_rank(
@@ -359,9 +364,8 @@ def displaced_counting_rank(
         raise ValueError("n_detect must be at least dim")
     guard = dim + 4 * math.ceil(max(abs(b) for b in betas) ** 2) + 20
     work_dim = max(guard, n_detect + 1)
-    rows = []
+    blocks = []
     for beta in betas:
-        for n in range(n_detect):
-            op = displaced_number_operator(beta, n, dim, work_dim)
-            rows.append(hermitian_to_real_vector(op))
-    return numerical_rank(np.vstack(rows), tolerance)
+        cols = _displacement(beta, work_dim)[:dim, :n_detect].T  # D(b)|n>, n < n_detect
+        blocks.append(cols[:, :, None] * cols[:, None, :].conj())
+    return numerical_rank(real_coordinates(np.concatenate(blocks)), tolerance)

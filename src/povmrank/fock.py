@@ -30,6 +30,7 @@ __all__ = [
     "homodyne_pdf_grid",
     "coherent_amplitudes",
     "photon_number_probability",
+    "real_coordinates",
     "hermitian_to_real_vector",
 ]
 
@@ -340,25 +341,40 @@ def photon_number_probability(alpha: complex, n: int) -> float:
     return math.exp(n * math.log(mu) - mu - math.lgamma(n + 1.0))
 
 
-def hermitian_to_real_vector(op) -> np.ndarray:
-    """Isometric real coordinates of a Hermitian matrix.
+def real_coordinates(ops) -> np.ndarray:
+    """Isometric real coordinates of a batch of Hermitian matrices.
 
-    Basis: the s diagonal units, then (E_kl + E_lk)/sqrt(2) and
-    i(E_kl - E_lk)/sqrt(2) for k < l.  The Euclidean norm of the output
-    equals the Frobenius norm of the input, and dot(v(A), v(B)) = Tr(A B).
+    ops has shape [..., s, s]; the result has shape [..., s^2].  Basis: the
+    s diagonal units, then (E_kl + E_lk)/sqrt(2) and i(E_kl - E_lk)/sqrt(2)
+    for k < l.  The Euclidean norm of each output row equals the Frobenius
+    norm of its operator, and dot(v(A), v(B)) = Tr(A B).
     """
-    op = np.asarray(op, dtype=complex)
-    if op.ndim != 2 or op.shape[0] != op.shape[1]:
-        raise ValueError("operator must be a square matrix")
-    asym = float(np.max(np.abs(op - op.conj().T)))
+    ops = np.asarray(ops)
+    if ops.ndim < 2 or ops.shape[-1] != ops.shape[-2]:
+        raise ValueError("operators must be square matrices")
+    k, l = np.triu_indices(ops.shape[-1], k=1)
+    upper = ops[..., k, l]
+    diag = np.diagonal(ops, axis1=-2, axis2=-1)
+    # max |A - A^+| entrywise, from the upper triangle and the diagonal
+    asym = max(float(np.abs(upper - np.conj(ops[..., l, k])).max(initial=0.0)),
+               2.0 * float(np.abs(np.imag(diag)).max(initial=0.0)))
     if asym > 1e-10:
         raise ValueError(f"operator is not Hermitian (max asymmetry {asym:.3e})")
-    upper = np.triu_indices(op.shape[0], k=1)
     sq2 = math.sqrt(2.0)
     return np.concatenate(
         [
-            np.real(np.diag(op)),
-            sq2 * np.real(op[upper]),
-            sq2 * np.imag(op[upper]),
-        ]
+            np.real(diag),
+            sq2 * np.real(upper),
+            sq2 * np.imag(upper),
+        ],
+        axis=-1,
     )
+
+
+def hermitian_to_real_vector(op) -> np.ndarray:
+    """Isometric real coordinates of one Hermitian matrix: the
+    single-operator form of real_coordinates."""
+    op = np.asarray(op)
+    if op.ndim != 2:
+        raise ValueError("operator must be a square matrix")
+    return real_coordinates(op)

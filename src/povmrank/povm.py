@@ -222,15 +222,26 @@ def povm_deficit(povm: PovmSet) -> float:
     return _identity_deficit(povm.dim, povm.elements)
 
 
+def _displacement(beta: complex, work_dim: int) -> np.ndarray:
+    """D(b) = exp(b a^+ - b* a) on a work_dim truncated ladder, exponentiated
+    through the eigendecomposition of its Hermitian generator, which keeps
+    it exactly unitary."""
+    if beta == 0:
+        return np.eye(work_dim, dtype=complex)
+    lower = np.diag(np.sqrt(np.arange(1.0, work_dim)), 1)  # annihilation
+    generator = beta * lower.T - beta.conjugate() * lower
+    lam, vec = np.linalg.eigh(-1j * generator)
+    return (vec * np.exp(1j * lam)) @ vec.conj().T
+
+
 def displaced_number_operator(
     beta: complex, n: int, dim: int, work_dim: int | None = None
 ) -> np.ndarray:
     """Top-left dim-block of the displaced number projector D(b)|n><n|D(b)^+.
 
-    The displacement exp(b a^+ - b* a) is exponentiated on a work_dim
-    truncated ladder through the eigendecomposition of its Hermitian
-    generator, which keeps it exactly unitary.  The lower bound on
-    work_dim keeps truncation error in the returned block below ~1e-9.
+    The displacement is built on a work_dim truncated ladder (see
+    _displacement).  The lower bound on work_dim keeps truncation error in
+    the returned block below ~1e-9.
     """
     beta = complex(beta)
     if n < 0:
@@ -244,14 +255,5 @@ def displaced_number_operator(
         raise ValueError(f"work_dim {work_dim} below truncation guard {guard}")
     if n >= work_dim:
         raise ValueError("detector index n must lie inside the work space")
-    if beta == 0:
-        op = np.zeros((dim, dim), dtype=complex)
-        if n < dim:
-            op[n, n] = 1.0
-        return op
-    lower = np.diag(np.sqrt(np.arange(1.0, work_dim)), 1)  # annihilation
-    generator = beta * lower.T - beta.conjugate() * lower
-    lam, vec = np.linalg.eigh(-1j * generator)
-    displacement = (vec * np.exp(1j * lam)) @ vec.conj().T
-    col = displacement[:dim, n]
+    col = _displacement(beta, work_dim)[:dim, n]
     return np.outer(col, col.conj())

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import povmrank
 from povmrank import RankReport
 from povmrank.cli import main, parse_state_spec
 
@@ -132,6 +137,24 @@ def test_rank_requires_exactly_one_support_spec():
     with pytest.raises(SystemExit) as err:
         main(["rank", "--d", "3", "--support", "0,1", "--m", "1"])
     assert err.value.code == 2
+
+
+def test_parser_reuse_after_usage_errors(capsys):
+    argv = ["rank", "--d", "4", "--phases", "0.1,0.9,2.0"]
+    src = Path(povmrank.__file__).resolve().parents[1]
+    fresh = subprocess.run(
+        [sys.executable, "-m", "povmrank", *argv],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    ).stdout
+    for bad in (["rank", "--d", "0", "--m", "1"], ["rank", "--d", "3", "--phases", "0.2,0.2"]):
+        with pytest.raises(SystemExit) as err:
+            main(bad)
+        assert err.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert out == fresh
 
 
 # --------------------------------------------------------- simulate-reconstruct

@@ -15,6 +15,9 @@ from povmrank import (
     default_x_max,
     design_matrix,
     displaced_counting_rank,
+    displaced_number_operator,
+    hermite_function_table,
+    hermitian_to_real_vector,
     min_phases_for_completeness,
     numerical_rank,
     povm_span_rank,
@@ -92,6 +95,26 @@ def test_design_matrix_full_phase_set_saturates():
 def test_design_matrix_row_count():
     spec = MeasurementSpec(SupportSet((0, 1, 2)), (0.0, 0.9), x_nodes_per_phase=7)
     assert design_matrix(spec).shape == (14, 9)
+
+
+@pytest.mark.parametrize(
+    "indices",
+    [tuple(range(d)) for d in (1, 2, 5, 12, 16)] + [(0, 4, 8), (1, 3, 7, 10)],
+)
+def test_design_matrix_matches_outer_product_rows(indices):
+    """Closed-form continuous rows against the definition: the real
+    coordinates of the projector |a><a| with a_k = psi_k(x) e^{i k theta}."""
+    support = SupportSet(indices)
+    spec = MeasurementSpec.default(support, default_phases(support, 3))
+    sup = np.array(indices)
+    nodes = np.polynomial.hermite.hermgauss(spec.x_nodes_per_phase)[0]
+    psi = hermite_function_table(int(sup[-1]), nodes)[sup]
+    rows = []
+    for theta in spec.phases:
+        for i in range(nodes.size):
+            amp = psi[:, i] * np.exp(1j * sup * theta)
+            rows.append(hermitian_to_real_vector(np.outer(amp, amp.conj())))
+    assert np.max(np.abs(design_matrix(spec) - np.vstack(rows))) < 1e-14
 
 
 def test_design_matrix_binned_mode_rows():
@@ -334,3 +357,25 @@ def test_duplicate_displacement_changes_nothing():
 def test_displaced_counting_requires_enough_outcomes():
     with pytest.raises(ValueError, match="n_detect"):
         displaced_counting_rank([0.0], 2, 3)
+
+
+def test_displaced_counting_diagonalises_once_per_displacement(monkeypatch):
+    betas, n_detect, dim = [0.5, 1.0j, 1.0 + 1.0j, -0.7], 12, 6
+    work_dim = max(dim + 4 * math.ceil(max(abs(b) for b in betas) ** 2) + 20, n_detect + 1)
+    rows = [
+        hermitian_to_real_vector(displaced_number_operator(b, n, dim, work_dim))
+        for b in betas
+        for n in range(n_detect)
+    ]
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    report = displaced_counting_rank(betas, n_detect, dim)
+    assert len(calls) == len(betas)
+    monkeypatch.undo()
+    assert np.array_equal(report.singular_values, numerical_rank(np.vstack(rows)).singular_values)

@@ -18,6 +18,7 @@ from povmrank import (
     homodyne_pdf_grid,
     photon_number_probability,
     quadrature_amplitude,
+    real_coordinates,
 )
 
 SQRT_PI = math.sqrt(math.pi)
@@ -333,6 +334,35 @@ def test_vectorize_rejects_non_hermitian():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="Hermitian"):
         hermitian_to_real_vector(bad)
+
+
+def _random_hermitian(rng, dim):
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return g + g.conj().T
+
+
+def test_real_coordinates_batch_matches_single_operator_rows(rng):
+    batch = np.stack([_random_hermitian(rng, 4) for _ in range(6)]).reshape(2, 3, 4, 4)
+    coords = real_coordinates(batch)
+    assert coords.shape == (2, 3, 16)
+    ops = batch.reshape(6, 4, 4)
+    singles = np.stack([hermitian_to_real_vector(op) for op in ops])
+    assert np.array_equal(coords.reshape(6, 16), singles)
+    # the basis spelled out entry by entry: diagonal, then sqrt(2) Re and Im of k < l
+    upper = [(k, l) for k in range(4) for l in range(k + 1, 4)]
+    for op, row in zip(ops, coords.reshape(6, 16)):
+        ref = [op[k, k].real for k in range(4)]
+        ref += [math.sqrt(2.0) * op[k, l].real for k, l in upper]
+        ref += [math.sqrt(2.0) * op[k, l].imag for k, l in upper]
+        assert np.array_equal(row, ref)
+
+
+@pytest.mark.parametrize("entry", [(0, 1), (2, 0), (1, 1)])
+def test_real_coordinates_rejects_one_non_hermitian_element(rng, entry):
+    batch = np.stack([_random_hermitian(rng, 3) for _ in range(5)])
+    batch[(2, *entry)] += 1e-6j
+    with pytest.raises(ValueError, match="Hermitian"):
+        real_coordinates(batch)
 
 
 # ----------------------------------------------------------------------- types
