@@ -232,30 +232,40 @@ def _band_rescale(p_prev, p, exponent):
     return p_prev, p, exponent
 
 
+def _hermite_rows(n_max: int, xa: np.ndarray):
+    """Yield psi_n(xa) for n = 0..n_max as (mantissa, binary exponent) pairs.
+
+    Gaussian-damped recurrence
+    psi_{n+1} = x sqrt(2/(n+1)) psi_n - sqrt(n/(n+1)) psi_{n-1}, with the
+    exponent carried apart so each row stays accurate across the whole
+    classically allowed region for n well beyond 1000.
+    """
+    p_prev, exponent = _gaussian_seed(xa)
+    yield p_prev, exponent
+    if n_max == 0:
+        return
+    p = math.sqrt(2.0) * xa * p_prev
+    yield p, exponent
+    for k in range(1, n_max):
+        p_prev, p = p, math.sqrt(2.0 / (k + 1)) * xa * p - math.sqrt(k / (k + 1)) * p_prev
+        p_prev, p, exponent = _band_rescale(p_prev, p, exponent)
+        yield p, exponent
+
+
 def hermite_function(n: int, x):
     """Normalized oscillator wavefunction psi_n(x).
 
-    Evaluated with the Gaussian-damped recurrence
-    psi_{n+1} = x sqrt(2/(n+1)) psi_n - sqrt(n/(n+1)) psi_{n-1}, carrying a
-    separate binary exponent so the result stays accurate across the whole
-    classically allowed region for n well beyond 1000.  Accepts a scalar or
-    an ndarray of positions.
+    Runs the recurrence of hermite_function_table keeping only the current
+    rows, so memory does not grow with n.  Accepts a scalar or an ndarray
+    of positions.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     xa = np.asarray(x, dtype=float)
-    scalar = xa.ndim == 0
-    xa = np.atleast_1d(xa)
-    p_prev, exponent = _gaussian_seed(xa)
-    if n == 0:
-        out = np.ldexp(p_prev, exponent)
-        return float(out[0]) if scalar else out
-    p = math.sqrt(2.0) * xa * p_prev
-    for k in range(1, n):
-        p_prev, p = p, math.sqrt(2.0 / (k + 1)) * xa * p - math.sqrt(k / (k + 1)) * p_prev
-        p_prev, p, exponent = _band_rescale(p_prev, p, exponent)
+    for p, exponent in _hermite_rows(n, np.atleast_1d(xa)):
+        pass
     out = np.ldexp(p, exponent)
-    return float(out[0]) if scalar else out
+    return float(out[0]) if xa.ndim == 0 else out
 
 
 def hermite_function_table(n_max: int, x) -> np.ndarray:
@@ -263,17 +273,9 @@ def hermite_function_table(n_max: int, x) -> np.ndarray:
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     xa = np.atleast_1d(np.asarray(x, dtype=float))
-    table = np.empty((n_max + 1, xa.size))
-    p_prev, exponent = _gaussian_seed(xa)
-    table[0] = np.ldexp(p_prev, exponent)
-    if n_max == 0:
-        return table
-    p = math.sqrt(2.0) * xa * p_prev
-    table[1] = np.ldexp(p, exponent)
-    for k in range(1, n_max):
-        p_prev, p = p, math.sqrt(2.0 / (k + 1)) * xa * p - math.sqrt(k / (k + 1)) * p_prev
-        p_prev, p, exponent = _band_rescale(p_prev, p, exponent)
-        table[k + 1] = np.ldexp(p, exponent)
+    table = np.empty((n_max + 1,) + xa.shape)
+    for n, (p, exponent) in enumerate(_hermite_rows(n_max, xa)):
+        np.ldexp(p, exponent, out=table[n])
     return table
 
 
@@ -283,11 +285,6 @@ def quadrature_amplitude(n: int, point: QuadraturePoint) -> complex:
     return complex(hermite_function(n, point.x) * np.exp(1j * n * point.theta))
 
 
-def _amplitude_vector(dim: int, x: float, theta: float) -> np.ndarray:
-    psi = hermite_function_table(dim - 1, x)[:, 0]
-    return psi * np.exp(1j * theta * np.arange(dim))
-
-
 def homodyne_pdf(rho: DensityMatrix, point: QuadraturePoint) -> float:
     """Probability density of quadrature outcome x at phase theta.
 
@@ -295,8 +292,7 @@ def homodyne_pdf(rho: DensityMatrix, point: QuadraturePoint) -> float:
     the value equals the trace against the integrated bin operators; with
     the normalized overlaps it integrates to one over x for every phase.
     """
-    v = _amplitude_vector(rho.dim, point.x, point.theta)
-    return float(np.real(np.vdot(v, rho.entries @ v)))
+    return float(homodyne_pdf_grid(rho, point.theta, point.x)[0])
 
 
 def homodyne_pdf_grid(rho: DensityMatrix, theta: float, xs) -> np.ndarray:

@@ -23,12 +23,8 @@ __all__ = [
     "povm_deficit",
 ]
 
-# Adaptive bin integration refines until entries move by less than this.
-ENTRY_TOL = 1e-12
 ELEMENT_HERMITIAN_TOL = 1e-10
 ELEMENT_EIGENVALUE_FLOOR = -1e-10
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 
 def default_x_max(dim: int) -> float:
@@ -36,77 +32,62 @@ def default_x_max(dim: int) -> float:
     return math.sqrt(4.0 * dim + 8.0)
 
 
-def _tail_cut(dim: int) -> float:
-    # psi_k psi_l is below ~1e-30 past the top turning point + 10, k,l < dim
-    return math.sqrt(2.0 * dim + 1.0) + 10.0
+def _antiderivative(x: np.ndarray, dim: int) -> np.ndarray:
+    """G[e, k, l] = int_{-inf}^{x_e} psi_k psi_l for finite x_e and k, l < dim.
 
-
-def _overlap_block(a: float, b: float, dim: int) -> np.ndarray:
-    """Integrals of psi_k psi_l over finite [a, b] for all k, l < dim.
-
-    32-node Gauss-Legendre per panel, panels doubled until the whole block
-    changes by less than ENTRY_TOL.
+    Off the diagonal by the Wronskian identity
+    2(k-l) G_kl = psi_k psi_l' - psi_k' psi_l = psi_k phi_l - phi_k psi_l, where
+    phi_n = sqrt(2n) psi_{n-1} is psi_n' + x psi_n (the x terms cancel).  On
+    the diagonal by F_n = F_{n-1} - psi_n psi_{n-1} / sqrt(2n), F_0 = erfc(-x)/2.
     """
-    panels = max(1, math.ceil((b - a) / 4.0))
-    prev = None
-    while panels <= 1 << 14:
-        edges = np.linspace(a, b, panels + 1)
-        half = 0.5 * (edges[1] - edges[0])
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        xs = (centers[:, None] + half * _GL_NODES[None, :]).ravel()
-        weights = np.broadcast_to(half * _GL_WEIGHTS, (panels, _GL_WEIGHTS.size)).ravel()
-        table = hermite_function_table(dim - 1, xs)
-        block = (table * weights) @ table.T
-        if prev is not None and float(np.max(np.abs(block - prev))) < ENTRY_TOL:
-            return block
-        prev = block
-        panels *= 2
-    raise RuntimeError("bin integral did not converge")
+    n = np.arange(dim)
+    psi = hermite_function_table(dim - 1, x).T  # [edge, n]
+    phi = np.zeros_like(psi)
+    phi[:, 1:] = np.sqrt(2.0 * n[1:]) * psi[:, :-1]
+    wronskian = psi[:, :, None] * phi[:, None, :] - phi[:, :, None] * psi[:, None, :]
+    gap = np.subtract.outer(n, n)
+    np.fill_diagonal(gap, 1)
+    g = wronskian / (2.0 * gap)
+    diag = np.empty_like(psi)
+    diag[:, 0] = [0.5 * math.erfc(-v) for v in x]
+    for k in range(1, dim):
+        diag[:, k] = diag[:, k - 1] - psi[:, k] * phi[:, k] / (2.0 * k)
+    g[:, n, n] = diag
+    return g
 
 
-def quadrature_bin_operator(theta: float, a: float, b: float, dim: int) -> np.ndarray:
+def quadrature_bin_operator(theta: float, a, b, dim: int) -> np.ndarray:
     """Quadrature projectors integrated over the bin [a, b] on dim levels.
 
     Entries are M_kl = (int_a^b psi_k psi_l dx) e^{i(k-l)theta}; endpoints
-    may be +-inf.  Half-infinite bins are evaluated as the orthonormality
-    identity minus the finite complement, so a full layout sums to the
-    subspace identity at integration accuracy.
+    may be +-inf.  Each entry is G(b) - G(a) for the closed-form
+    antiderivative G (Wronskian off the diagonal, a recursion from erfc on
+    it), with G(-inf) = 0 and G(+inf) = identity, so the entries are exact
+    to rounding and a full layout sums to the subspace identity to rounding.
+    a and b may be equal-shape arrays of endpoints; the result is then the
+    stack of their bins, shape a.shape + (dim, dim), with G evaluated once
+    per distinct finite endpoint.
     """
     if dim < 1:
         raise ValueError("dim must be positive")
-    if not a < b:
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        raise ValueError("bin endpoint arrays must have equal shapes")
+    if not np.all(a < b):
         raise ValueError("bin requires a < b")
-    cut = _tail_cut(dim)
-    eye = np.eye(dim)
-    zero = np.zeros((dim, dim))
-    if math.isinf(a) and math.isinf(b):
-        base = eye
-    elif math.isinf(a):
-        if b <= -cut:
-            base = zero
-        elif b >= cut:
-            base = eye
-        else:
-            base = _overlap_block(-cut, b, dim)
-    elif math.isinf(b):
-        if a >= cut:
-            base = zero
-        elif a <= -cut:
-            base = eye
-        else:
-            base = eye - _overlap_block(-cut, a, dim)
-    else:
-        lo, hi = max(a, -cut), min(b, cut)
-        base = _overlap_block(lo, hi, dim) if lo < hi else zero
+    edges, where = np.unique(np.concatenate([a.ravel(), b.ravel()]), return_inverse=True)
+    finite = np.isfinite(edges)
+    g = np.zeros((edges.size, dim, dim))
+    g[finite] = _antiderivative(edges[finite], dim)
+    g[edges == math.inf] = np.eye(dim)
+    g_a, g_b = g[where.reshape(2, -1)]
     phase = np.exp(1j * theta * np.arange(dim))
-    return base * np.outer(phase, phase.conj())
+    return (g_b - g_a).reshape(a.shape + (dim, dim)) * np.outer(phase, phase.conj())
 
 
 def _identity_deficit(dim: int, elements) -> float:
-    total = np.zeros((dim, dim), dtype=complex)
-    for el in elements:
-        total = total + el
-    return float(np.linalg.norm(np.eye(dim) - total, ord=2))
+    return float(np.linalg.norm(np.eye(dim) - np.sum(elements, axis=0), ord=2))
 
 
 @dataclass
@@ -125,21 +106,19 @@ class PovmSet:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be positive")
-        els = []
-        for el in self.elements:
-            arr = np.asarray(el, dtype=complex)
-            if arr.shape != (self.dim, self.dim):
-                raise ValueError("element shape does not match dim")
-            asym = float(np.max(np.abs(arr - arr.conj().T)))
-            if asym > ELEMENT_HERMITIAN_TOL:
-                raise ValueError(f"element is not Hermitian (max asymmetry {asym:.3e})")
-            eig_min = float(np.linalg.eigvalsh(0.5 * (arr + arr.conj().T))[0])
-            if eig_min < ELEMENT_EIGENVALUE_FLOOR:
-                raise ValueError(f"element is not PSD (min eigenvalue {eig_min:.3e})")
-            els.append(arr)
-        if not els:
+        if len(self.elements) == 0:
             raise ValueError("a POVM set needs at least one element")
-        self.elements = els
+        if any(np.shape(el) != (self.dim, self.dim) for el in self.elements):
+            raise ValueError("element shape does not match dim")
+        els = np.asarray(self.elements, dtype=complex)
+        adjoint = els.conj().swapaxes(-1, -2)
+        asym = float(np.max(np.abs(els - adjoint)))
+        if asym > ELEMENT_HERMITIAN_TOL:
+            raise ValueError(f"element is not Hermitian (max asymmetry {asym:.3e})")
+        eig_min = float(np.min(np.linalg.eigvalsh(0.5 * (els + adjoint))))
+        if eig_min < ELEMENT_EIGENVALUE_FLOOR:
+            raise ValueError(f"element is not PSD (min eigenvalue {eig_min:.3e})")
+        self.elements = list(els)
         if self.deficit is None:
             self.deficit = _identity_deficit(self.dim, els)
 
@@ -154,10 +133,9 @@ class PovmSet:
     @classmethod
     def from_json_dict(cls, data: dict) -> "PovmSet":
         dim = int(data["dim"])
-        elements = [
-            np.array([complex(re, im) for re, im in el], dtype=complex).reshape(dim, dim)
-            for el in data["elements"]
-        ]
+        # each [re, im] pair is one complex128, so a view restores it bit for bit
+        pairs = np.asarray(data["elements"], dtype=float)
+        elements = list(pairs.view(complex).reshape(len(pairs), dim, dim))
         return cls(dim=dim, elements=elements, label=data["label"], deficit=data["deficit"])
 
 
@@ -209,7 +187,8 @@ class BinLayout:
 
 def build_binned_quadrature_povm(theta: float, layout: BinLayout, dim: int) -> PovmSet:
     """One operator per bin of the layout at phase theta, in ascending bin order."""
-    elements = [quadrature_bin_operator(theta, a, b, dim) for a, b in layout.intervals()]
+    lo, hi = np.array(layout.intervals()).T
+    elements = list(quadrature_bin_operator(theta, lo, hi, dim))
     label = (
         f"binned-quadrature theta={theta:.12g} n_bins={layout.n_bins} "
         f"x_max={layout.x_max:g} overflow={layout.include_overflow}"

@@ -95,6 +95,57 @@ def test_bin_operator_rejects_bad_interval():
         quadrature_bin_operator(0.0, 1.0, 0.5, 3)
     with pytest.raises(ValueError, match="a < b"):
         quadrature_bin_operator(0.0, 1.0, 1.0, 3)
+    with pytest.raises(ValueError, match="a < b"):
+        quadrature_bin_operator(0.0, [0.0, 1.0], [0.5, 1.0], 3)
+    with pytest.raises(ValueError, match="equal shapes"):
+        quadrature_bin_operator(0.0, [0.0, 1.0], [0.5], 3)
+
+
+def _oracle_entry(k, l, a, b, dim):
+    # psi_k psi_l < 1e-40 past the top turning point + 12, so an infinite
+    # endpoint is cut there instead of handing quad an infinite range
+    cut = math.sqrt(2.0 * dim + 1.0) + 12.0
+    value, _ = quad(psi_product(k, l), max(a, -cut), min(b, cut), epsabs=1e-14, limit=400)
+    return value
+
+
+@pytest.mark.parametrize("dim", [10, 30, 60])
+def test_closed_form_entries_against_quadrature_oracle(dim):
+    rng = np.random.default_rng(dim)
+    x_max = default_x_max(dim)
+    lo = rng.uniform(-x_max, x_max, size=3)
+    bins = [(x, x + w) for x, w in zip(lo, rng.uniform(0.05, 2.0, size=3))]
+    bins += [(-INF, rng.uniform(-x_max, 0.0)), (rng.uniform(0.0, x_max), INF), (0.3, 0.3 + 1e-8)]
+    for a, b in bins:
+        op = quadrature_bin_operator(0.0, a, b, dim)
+        pairs = [(0, 0), (dim - 1, dim - 1), (0, dim - 1)]
+        pairs += [tuple(sorted(p)) for p in rng.integers(0, dim, size=(12, 2))]
+        for k, l in pairs:
+            assert abs(op[k, l] - _oracle_entry(k, l, a, b, dim)) < 1e-12, (a, b, k, l)
+
+
+@pytest.mark.parametrize("dim", [10, 30, 60])
+def test_bins_beyond_the_turning_point_vanish(dim):
+    far = math.sqrt(2.0 * dim + 1.0) + 10.0
+    for a, b in [(far, far + 3.0), (far, INF), (-INF, -far), (-far - 3.0, -far)]:
+        assert np.max(np.abs(quadrature_bin_operator(0.8, a, b, dim))) <= 1e-15
+
+
+def test_array_endpoints_equal_stacked_scalar_calls():
+    dim, theta = 7, 0.61
+    lo, hi = np.array(BinLayout(default_x_max(dim), 2 * dim - 1).intervals()).T
+    stack = quadrature_bin_operator(theta, lo, hi, dim)
+    assert stack.shape == (lo.size, dim, dim)
+    for j in range(lo.size):
+        assert np.array_equal(stack[j], quadrature_bin_operator(theta, lo[j], hi[j], dim))
+    grid_lo = np.array([[-1.0, 0.2], [-INF, 2.5]])
+    grid_hi = np.array([[0.4, 0.9], [-0.7, INF]])
+    grid = quadrature_bin_operator(theta, grid_lo, grid_hi, dim)
+    assert grid.shape == (2, 2, dim, dim)
+    for i in range(2):
+        for j in range(2):
+            single = quadrature_bin_operator(theta, grid_lo[i, j], grid_hi[i, j], dim)
+            assert np.array_equal(grid[i, j], single)
 
 
 # ---------------------------------------------------- build_binned_quadrature_povm
@@ -131,6 +182,12 @@ def test_deficit_full_line_layout():
     assert povm_deficit(povm) < 1e-10
 
 
+def test_deficit_of_default_layouts_is_rounding_level():
+    for dim in [*range(1, 13), 20, 30, 40, 50, 60]:
+        povm = build_binned_quadrature_povm(0.45, BinLayout(default_x_max(dim), 2 * dim - 1), dim)
+        assert povm.deficit <= 1e-14, dim
+
+
 def test_deficit_positive_without_overflow():
     # psi_5 keeps ~0.2 of its mass beyond |x| = 3
     povm = build_binned_quadrature_povm(0.0, BinLayout(3.0, 4, include_overflow=False), 6)
@@ -154,6 +211,21 @@ def test_povm_set_rejects_non_hermitian():
 def test_povm_set_rejects_negative_element():
     with pytest.raises(ValueError, match="PSD"):
         PovmSet(dim=2, elements=[np.diag([1.0, -0.5]).astype(complex)])
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (np.array([[0.1, 0.2], [0.0, 0.1]], dtype=complex), "not Hermitian"),
+        (np.diag([0.3, -0.01]).astype(complex), "not PSD"),
+        (np.eye(3, dtype=complex), "shape does not match dim"),
+    ],
+)
+def test_povm_set_rejects_one_bad_element_in_a_batch(bad, message):
+    good = build_binned_quadrature_povm(0.2, BinLayout(default_x_max(2), 3), 2).elements
+    for at in (0, 2, len(good)):
+        with pytest.raises(ValueError, match=message):
+            PovmSet(dim=2, elements=good[:at] + [bad] + good[at:])
 
 
 def test_povm_set_json_roundtrip_bit_exact():
