@@ -32,6 +32,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _phase_list(text: str) -> list:
+    try:
+        return [float(p) for p in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated reals, got {text!r}") from None
+
+
 def _write_output(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
@@ -77,16 +84,6 @@ def parse_state_spec(spec: str, dim_override: int | None = None) -> DensityMatri
     raise ValueError(f"unknown state kind {kind!r}")
 
 
-def _parse_phases(args, parser: argparse.ArgumentParser, dim: int) -> list:
-    if args.phases is not None:
-        try:
-            phases = [float(p) for p in args.phases.split(",")]
-        except ValueError:
-            parser.error("--phases must be a comma-separated list of reals")
-        return phases
-    return default_phases(SupportSet.contiguous(dim), args.m)
-
-
 def _cmd_predict(args, parser) -> int:
     _write_output(str(predicted_rank(args.d, args.m)), args.out)
     return 0
@@ -124,12 +121,9 @@ def _cmd_rank(args, parser) -> int:
     if args.phases is None and args.m is None:
         parser.error("one of --m or --phases is required")
     support = _support_from_args(args, parser)
+    m = len(args.phases) if args.phases else args.m
     try:
-        if args.phases is not None:
-            phases = [float(p) for p in args.phases.split(",")]
-            report = rank_for(support, len(phases), phases=phases, tolerance=args.tol)
-        else:
-            report = rank_for(support, args.m, tolerance=args.tol)
+        report = rank_for(support, m, phases=args.phases, tolerance=args.tol)
     except ValueError as exc:
         parser.error(str(exc))
     _write_output(json.dumps(report.to_json_dict()), args.out)
@@ -148,7 +142,7 @@ def _cmd_simulate_reconstruct(args, parser) -> int:
     dim = rho_true.dim
     if args.phases is None and args.m is None:
         parser.error("one of --m or --phases is required")
-    phases = _parse_phases(args, parser, dim)
+    phases = args.phases or default_phases(SupportSet.contiguous(dim), args.m)
     n_bins = args.bins if args.bins is not None else 2 * dim - 1
     layout = BinLayout(x_max=default_x_max(dim), n_bins=n_bins, include_overflow=True)
     povms = [build_binned_quadrature_povm(theta, layout, dim) for theta in phases]
@@ -191,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rank.add_argument("--support", default=None, help="comma-separated Fock indices, e.g. 0,4,8")
     p_rank.add_argument("--d", type=_positive_int, default=None, help="contiguous support 0..d-1")
     p_rank.add_argument("--m", type=_positive_int, default=None, help="number of default phases")
-    p_rank.add_argument("--phases", default=None, help="explicit comma-separated phases")
+    p_rank.add_argument("--phases", type=_phase_list, default=None, help="explicit comma-separated phases")
     p_rank.add_argument("--tol", type=float, default=None)
     p_rank.add_argument("--out", default=None)
     p_rank.set_defaults(func=_cmd_rank)
@@ -203,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--state", required=True, help="fock:0,1@1,1 | mixed:maximally@3 | coherent:0.5@4")
     p_sim.add_argument("--d", type=_positive_int, default=None, help="working dimension override")
     p_sim.add_argument("--m", type=_positive_int, default=None, help="equispaced phase count")
-    p_sim.add_argument("--phases", default=None, help="explicit comma-separated phases")
+    p_sim.add_argument("--phases", type=_phase_list, default=None, help="explicit comma-separated phases")
     p_sim.add_argument("--bins", type=_positive_int, default=None, help="finite bins per phase (default 2d-1)")
     p_sim.add_argument("--samples", type=_positive_int, default=100_000)
     p_sim.add_argument("--seed", type=int, required=True)

@@ -64,6 +64,8 @@ def quadrature_bin_operator(theta: float, a, b, dim: int) -> np.ndarray:
     antiderivative G (Wronskian off the diagonal, a recursion from erfc on
     it), with G(-inf) = 0 and G(+inf) = identity, so the entries are exact
     to rounding and a full layout sums to the subspace identity to rounding.
+    A bin with a >= 0 is (-1)^(k+l) times the bin (-b, -a), as psi_n is of
+    parity n, so right-tail bins keep full relative precision.
     a and b may be equal-shape arrays of endpoints; the result is then the
     stack of their bins, shape a.shape + (dim, dim), with G evaluated once
     per distinct finite endpoint.
@@ -76,14 +78,18 @@ def quadrature_bin_operator(theta: float, a, b, dim: int) -> np.ndarray:
         raise ValueError("bin endpoint arrays must have equal shapes")
     if not np.all(a < b):
         raise ValueError("bin requires a < b")
+    right = a >= 0
+    a, b = np.where(right, -b, a), np.where(right, -a, b)
     edges, where = np.unique(np.concatenate([a.ravel(), b.ravel()]), return_inverse=True)
     finite = np.isfinite(edges)
     g = np.zeros((edges.size, dim, dim))
     g[finite] = _antiderivative(edges[finite], dim)
     g[edges == math.inf] = np.eye(dim)
     g_a, g_b = g[where.reshape(2, -1)]
+    bins = g_b - g_a
+    bins[right.ravel()] *= (-1.0) ** np.add.outer(np.arange(dim), np.arange(dim))
     phase = np.exp(1j * theta * np.arange(dim))
-    return (g_b - g_a).reshape(a.shape + (dim, dim)) * np.outer(phase, phase.conj())
+    return bins.reshape(a.shape + (dim, dim)) * np.outer(phase, phase.conj())
 
 
 def _identity_deficit(dim: int, elements) -> float:

@@ -1,8 +1,10 @@
 """Homodyne data simulation and maximum-likelihood state reconstruction.
 
 Informationally complete settings must recover the state operationally;
-incomplete ones must leave the corresponding ambiguities visible.  The
-estimator is the diluted fixed-point iteration
+incomplete ones must leave the corresponding ambiguities visible.  One Born
+map rho -> Tr(rho E_j) gives every bin probability: simulated counts are
+multinomial draws from it (sample_homodyne and bin_samples are for raw
+samples), and the estimator is the diluted fixed-point iteration
 rho <- N[(1-e+eR) rho (1-e+eR)] with R(rho) = sum_j (f_j / p_j(rho)) E_j.
 """
 
@@ -116,6 +118,7 @@ class ReconstructionResult:
             "iterations": self.iterations,
             "converged": self.converged,
             "final_loglik": self.log_likelihood_trace[-1],
+            "singular_data": self.singular_data,
         }
 
 
@@ -155,19 +158,31 @@ def bin_samples(samples, layout: BinLayout) -> np.ndarray:
     return np.concatenate([[left], inner, [right]]).astype(np.int64)
 
 
+def _born_rows(povms, dim: int) -> np.ndarray:
+    """B_j = conj(vec E_j): real(B @ vec rho) is Tr(rho E_j), (w @ B).conj() is sum_j w_j E_j."""
+    return np.array([el for povm in povms for el in povm.elements]).reshape(-1, dim * dim).conj()
+
+
 def simulate_dataset(
     rho: DensityMatrix, phases, layout: BinLayout, total_per_setting: int, seed: int
 ) -> MeasurementData:
-    """Sample and bin homodyne data for each phase.
+    """Multinomial bin counts drawn from the exact Tr(rho E_j) for each phase.
 
     Setting i uses the derived seed (seed XOR i), so settings can be drawn
-    independently and the result does not depend on evaluation order.
+    independently and the result does not depend on evaluation order.  Draws
+    outside the layout (possible only without overflow bins) are dropped.
     """
+    if total_per_setting < 1:
+        raise ValueError("n_samples must be positive")
+    if not 0 <= seed < MAX_SEED:
+        raise ValueError("seed must be a 64-bit non-negative integer")
     phases = [float(p) for p in phases]
+    povms = [build_binned_quadrature_povm(theta, layout, rho.dim) for theta in phases]
+    probs = np.clip(np.real(_born_rows(povms, rho.dim) @ rho.entries.ravel()), 0.0, None)
     counts = []
-    for i, theta in enumerate(phases):
-        draws = sample_homodyne(rho, theta, total_per_setting, seed ^ i)
-        counts.append(bin_samples(draws, layout))
+    for i, p in enumerate(probs.reshape(len(phases), layout.n_elements)):
+        outcomes = np.append(p, max(0.0, 1.0 - p.sum()))  # last: mass outside the layout
+        counts.append(np.random.default_rng(seed ^ i).multinomial(total_per_setting, outcomes)[:-1])
     return MeasurementData(
         settings=[(theta, layout) for theta in phases],
         counts=counts,
@@ -206,14 +221,12 @@ def ml_reconstruct(
         raise ValueError("max_iters must be non-negative")
     if len(povms) != len(data.settings):
         raise ValueError("one POVM set per measurement setting is required")
-    elements = []
-    for povm, (_, layout), vec in zip(povms, data.settings, data.counts):
+    for povm, vec in zip(povms, data.counts):
         if not isinstance(povm, PovmSet) or povm.dim != dim:
             raise ValueError("POVM sets must match dim")
         if len(povm.elements) != vec.size:
             raise ValueError("POVM element count does not match the data bins")
-        elements.extend(povm.elements)
-    ops = np.stack(elements)
+    born = _born_rows(povms, dim)
     counts = np.concatenate(data.counts).astype(float)
     frequencies = counts / counts.sum()
     eye = np.eye(dim, dtype=complex)
@@ -222,23 +235,19 @@ def ml_reconstruct(
 
     def probs(rho):
         nonlocal singular
-        p = np.real(np.einsum("kl,jlk->j", rho, ops))
-        if np.any((p <= PROBABILITY_FLOOR) & (counts > 0)):
-            singular = True
+        p = np.real(born @ rho.ravel())
+        singular |= bool(np.any((p <= PROBABILITY_FLOOR) & (counts > 0)))
         return np.clip(p, PROBABILITY_FLOOR, None)
 
     rho = eye / dim
     p = probs(rho)
     trace = [_log_likelihood(counts, p)]
     converged = False
-    iterations = 0
 
     for _ in range(max_iters):
-        ratio = frequencies / p
-        r_op = np.einsum("j,jkl->kl", ratio, ops)
+        r_op = ((frequencies / p) @ born).conj().reshape(dim, dim)
         r_op = 0.5 * (r_op + r_op.conj().T)
         step = epsilon
-        accepted = None
         for _ in range(40):
             grow = (1.0 - step) * eye + step * r_op
             cand = grow @ rho @ grow
@@ -247,18 +256,14 @@ def ml_reconstruct(
             p_cand = probs(cand)
             ll_cand = _log_likelihood(counts, p_cand)
             if ll_cand >= trace[-1]:
-                accepted = (cand, p_cand, ll_cand)
                 break
             step *= 0.5
-        if accepted is None:
+        else:  # no dilution raised the likelihood
             converged = True
             break
-        cand, p_cand, ll_cand = accepted
-        gain = ll_cand - trace[-1]
-        iterations += 1
         rho, p = cand, p_cand
         trace.append(ll_cand)
-        if gain < LOGLIK_GAIN_TOL:
+        if trace[-1] - trace[-2] < LOGLIK_GAIN_TOL:
             converged = True
             break
 
@@ -270,7 +275,7 @@ def ml_reconstruct(
     return ReconstructionResult(
         estimate=DensityMatrix(rho),
         log_likelihood_trace=trace,
-        iterations=iterations,
+        iterations=len(trace) - 1,
         converged=converged,
         singular_data=singular,
     )
@@ -300,13 +305,8 @@ def ambiguity_witness(states, phases, layout: BinLayout) -> float:
     dim = states[0].dim
     if any(s.dim != dim for s in states):
         raise ValueError("states must share the same dim")
-    worst = 0.0
-    for theta in phases:
-        povm = build_binned_quadrature_povm(float(theta), layout, dim)
-        ops = np.stack(povm.elements)
-        probs = np.stack(
-            [np.real(np.einsum("kl,jlk->j", state.entries, ops)) for state in states]
-        )
-        spread = float(np.max(probs.max(axis=0) - probs.min(axis=0)))
-        worst = max(worst, spread)
-    return worst
+    povms = [build_binned_quadrature_povm(float(theta), layout, dim) for theta in phases]
+    # Tr((rho_s - rho_0) E_j): a copy of the first state gives exactly 0
+    rhos = np.stack([state.entries.ravel() for state in states])
+    shifts = np.real((rhos - rhos[0]) @ _born_rows(povms, dim).T)
+    return float(np.max(shifts.max(axis=0) - shifts.min(axis=0), initial=0.0))

@@ -139,6 +139,20 @@ def test_rank_requires_exactly_one_support_spec():
     assert err.value.code == 2
 
 
+def test_rank_and_simulate_reject_bad_phases_alike(capsys):
+    messages = []
+    for argv in (
+        ["rank", "--d", "3", "--phases", "0.1,x"],
+        ["simulate-reconstruct", "--state", "fock:0,1@1,1", "--phases", "0.1,x", "--seed", "1"],
+    ):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        messages.append(capsys.readouterr().err.strip().splitlines()[-1].split(": error: ", 1)[1])
+    assert messages[0] == messages[1]
+    assert messages[0].count("--phases") == 1
+
+
 def test_parser_reuse_after_usage_errors(capsys):
     argv = ["rank", "--d", "4", "--phases", "0.1,0.9,2.0"]
     src = Path(povmrank.__file__).resolve().parents[1]

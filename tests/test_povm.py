@@ -131,6 +131,16 @@ def test_bins_beyond_the_turning_point_vanish(dim):
         assert np.max(np.abs(quadrature_bin_operator(0.8, a, b, dim))) <= 1e-15
 
 
+@pytest.mark.parametrize("dim", [9, 12, 20])
+def test_right_overflow_bin_is_parity_mirror_of_left(dim):
+    # psi_n(-x) = (-1)^n psi_n(x), so E(x_max, inf) = P E(-inf, -x_max) P
+    parity = np.diag((-1.0) ** np.arange(dim))
+    povm = build_binned_quadrature_povm(0.37, BinLayout(default_x_max(dim), 2 * dim - 1), dim)
+    left, right = povm.elements[0], povm.elements[-1]
+    err = np.linalg.norm(right - parity @ left @ parity) / np.linalg.norm(left)
+    assert err <= 1e-15
+
+
 def test_array_endpoints_equal_stacked_scalar_calls():
     dim, theta = 7, 0.61
     lo, hi = np.array(BinLayout(default_x_max(dim), 2 * dim - 1).intervals()).T

@@ -135,6 +135,41 @@ def test_simulate_dataset_uses_derived_seeds():
         assert np.array_equal(a, b)
 
 
+def test_simulated_counts_follow_the_exact_bin_probabilities():
+    # vacuum keeps erfc(1)/2 ~ 7.9 % of its mass in each overflow bin of
+    # BinLayout(1.0, 3) at every phase
+    dim, total = 6, 200_000
+    rho = DensityMatrix.pure([1.0] + [0.0] * (dim - 1))
+    layout = BinLayout(1.0, 3)
+    phases = [0.0, 0.9, 2.3]
+    data = simulate_dataset(rho, phases, layout, total, seed=31)
+    for theta, vec in zip(phases, data.counts):
+        povm = build_binned_quadrature_povm(theta, layout, dim)
+        p = np.array([np.real(np.trace(rho.entries @ el)) for el in povm.elements])
+        assert p[[0, -1]] == pytest.approx([math.erfc(1.0) / 2] * 2, rel=1e-12)
+        assert int(vec.sum()) == total
+        assert np.all(np.abs(vec - total * p) <= 5 * np.sqrt(total * p * (1 - p)))
+
+
+def test_simulate_without_overflow_rejects_lost_mass():
+    rho = DensityMatrix.pure([1.0, 0.0])
+    with pytest.raises(ValueError, match="sum to total_per_setting"):
+        simulate_dataset(rho, [0.0], BinLayout(1.0, 3, include_overflow=False), 1000, seed=3)
+
+
+def test_simulate_validates_before_drawing(monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew before validating")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    rho = DensityMatrix.pure([1.0, 1.0])
+    layout = BinLayout(default_x_max(2), 3)
+    with pytest.raises(ValueError, match="seed"):
+        simulate_dataset(rho, [0.0, 1.0], layout, 100, seed=-1)
+    with pytest.raises(ValueError, match="positive"):
+        simulate_dataset(rho, [0.0, 1.0], layout, 0, seed=1)
+
+
 # --------------------------------------------------------------- ml_reconstruct
 
 
@@ -228,6 +263,7 @@ def test_ml_flags_singular_bins():
     with pytest.warns(RuntimeWarning, match="floored"):
         result = ml_reconstruct(data, [povm], dim, max_iters=50)
     assert result.singular_data
+    assert json.loads(json.dumps(result.to_json_dict()))["singular_data"] is True
 
 
 def test_ml_rejects_mismatched_inputs():
