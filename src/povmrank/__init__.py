@@ -7,8 +7,6 @@ simulated homodyne data and maximum-likelihood reconstruction.
 """
 
 from .completeness import (
-    BINNED_POVM,
-    CONTINUOUS_FUNCTIONAL,
     MeasurementSpec,
     RankReport,
     SweepTable,
@@ -61,8 +59,6 @@ from .tomo import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BINNED_POVM",
-    "CONTINUOUS_FUNCTIONAL",
     "BinLayout",
     "DensityMatrix",
     "FockVector",

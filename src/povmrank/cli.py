@@ -107,8 +107,6 @@ def _cmd_table(args, parser) -> int:
 
 
 def _support_from_args(args, parser) -> SupportSet:
-    if (args.support is None) == (args.d is None):
-        parser.error("exactly one of --support or --d is required")
     if args.support is not None:
         try:
             return SupportSet(tuple(int(i) for i in args.support.split(",")))
@@ -118,8 +116,6 @@ def _support_from_args(args, parser) -> SupportSet:
 
 
 def _cmd_rank(args, parser) -> int:
-    if args.phases is None and args.m is None:
-        parser.error("one of --m or --phases is required")
     support = _support_from_args(args, parser)
     m = len(args.phases) if args.phases else args.m
     try:
@@ -140,8 +136,6 @@ def _cmd_simulate_reconstruct(args, parser) -> int:
     if not 0 <= args.seed < 2**64:
         parser.error("--seed must be a 64-bit non-negative integer")
     dim = rho_true.dim
-    if args.phases is None and args.m is None:
-        parser.error("one of --m or --phases is required")
     phases = args.phases or default_phases(SupportSet.contiguous(dim), args.m)
     n_bins = args.bins if args.bins is not None else 2 * dim - 1
     layout = BinLayout(x_max=default_x_max(dim), n_bins=n_bins, include_overflow=True)
@@ -182,10 +176,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.set_defaults(func=_cmd_table)
 
     p_rank = sub.add_parser("rank", help="numerical rank report for a support")
-    p_rank.add_argument("--support", default=None, help="comma-separated Fock indices, e.g. 0,4,8")
-    p_rank.add_argument("--d", type=_positive_int, default=None, help="contiguous support 0..d-1")
-    p_rank.add_argument("--m", type=_positive_int, default=None, help="number of default phases")
-    p_rank.add_argument("--phases", type=_phase_list, default=None, help="explicit comma-separated phases")
+    support = p_rank.add_mutually_exclusive_group(required=True)
+    support.add_argument("--support", help="comma-separated Fock indices, e.g. 0,4,8")
+    support.add_argument("--d", type=_positive_int, help="contiguous support 0..d-1")
+    phases = p_rank.add_mutually_exclusive_group(required=True)
+    phases.add_argument("--m", type=_positive_int, help="number of default phases")
+    phases.add_argument("--phases", type=_phase_list, help="explicit comma-separated phases")
     p_rank.add_argument("--tol", type=float, default=None)
     p_rank.add_argument("--out", default=None)
     p_rank.set_defaults(func=_cmd_rank)
@@ -196,8 +192,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sim.add_argument("--state", required=True, help="fock:0,1@1,1 | mixed:maximally@3 | coherent:0.5@4")
     p_sim.add_argument("--d", type=_positive_int, default=None, help="working dimension override")
-    p_sim.add_argument("--m", type=_positive_int, default=None, help="equispaced phase count")
-    p_sim.add_argument("--phases", type=_phase_list, default=None, help="explicit comma-separated phases")
+    phases = p_sim.add_mutually_exclusive_group(required=True)
+    phases.add_argument("--m", type=_positive_int, help="equispaced phase count")
+    phases.add_argument("--phases", type=_phase_list, help="explicit comma-separated phases")
     p_sim.add_argument("--bins", type=_positive_int, default=None, help="finite bins per phase (default 2d-1)")
     p_sim.add_argument("--samples", type=_positive_int, default=100_000)
     p_sim.add_argument("--seed", type=int, required=True)

@@ -2,9 +2,10 @@
 photon-counting measurements on (possibly sparse) Fock supports.
 
 The closed-form predictor m(2d-m) (capped at d^2) is checked against a
-numerical rank oracle: probability functionals, expressed over the real
-parametrization of Hermitian operators on the support, are stacked into a
-design matrix whose singular spectrum certifies the count.
+numerical rank oracle: the quadrature probability functionals of a support
+and its phases, over the real parametrization of Hermitian operators on the
+support, form a design matrix whose singular spectrum certifies the count.
+Finite POVM sets, binned quadratures among them, go through povm_span_rank.
 """
 
 from __future__ import annotations
@@ -16,11 +17,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fock import SupportSet, hermite_function_table, real_coordinates
-from .povm import BinLayout, _displacement, build_binned_quadrature_povm, default_x_max
+from .povm import _displacement, _displacement_work_dim
 
 __all__ = [
-    "CONTINUOUS_FUNCTIONAL",
-    "BINNED_POVM",
     "MeasurementSpec",
     "RankReport",
     "SweepTable",
@@ -34,9 +33,6 @@ __all__ = [
     "povm_span_rank",
     "displaced_counting_rank",
 ]
-
-CONTINUOUS_FUNCTIONAL = "continuous-functional"
-BINNED_POVM = "binned-povm"
 
 PHASE_DISTINCT_TOL = 1e-9
 RANK_RTOL = 1e-12
@@ -82,18 +78,11 @@ def _reduced_distinct(phases) -> bool:
 
 @dataclass(frozen=True)
 class MeasurementSpec:
-    """A set of quadrature measurement settings on a Fock support.
-
-    In continuous-functional mode each phase contributes
-    ``x_nodes_per_phase`` sample points (Gauss-Hermite node positions); in
-    binned-povm mode the same field is the number of finite bins per phase
-    (overflow bins are always appended).
-    """
+    """Quadrature settings on a Fock support: the support and its phases,
+    pairwise distinct mod pi.  design_matrix derives everything else."""
 
     support: SupportSet
     phases: tuple
-    x_nodes_per_phase: int
-    mode: str = CONTINUOUS_FUNCTIONAL
 
     def __post_init__(self):
         if not isinstance(self.support, SupportSet):
@@ -104,24 +93,6 @@ class MeasurementSpec:
         if not _reduced_distinct(phases):
             raise ValueError("phases must be pairwise distinct mod pi")
         object.__setattr__(self, "phases", phases)
-        if self.mode not in (CONTINUOUS_FUNCTIONAL, BINNED_POVM):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        floor = 2 * max(self.support.indices) + 1 if self.mode == CONTINUOUS_FUNCTIONAL else 1
-        if self.x_nodes_per_phase < floor:
-            raise ValueError(
-                f"x_nodes_per_phase must be at least {floor} in {self.mode} mode"
-            )
-
-    @classmethod
-    def default(cls, support: SupportSet, phases, mode: str = CONTINUOUS_FUNCTIONAL):
-        """Node count certified by the polynomial degree bound of the
-        probability functionals: Gauss-Hermite order 2*max(support)+2."""
-        return cls(
-            support=support,
-            phases=tuple(phases),
-            x_nodes_per_phase=2 * max(support.indices) + 2,
-            mode=mode,
-        )
 
 
 @dataclass(frozen=True)
@@ -174,31 +145,26 @@ def design_matrix(spec: MeasurementSpec) -> np.ndarray:
     """Measurement functionals over the s^2 real coordinates of Hermitian
     operators on the support.
 
-    Continuous-functional mode: one row per (phase, node), the density
-    functional rho -> p(x_i, theta_j), i.e. the real coordinates of the
-    rank-one quadrature projector compressed to the support, written in
-    closed form: psi_k^2 on the diagonal, sqrt(2) psi_k psi_l times
-    (cos, sin)((k-l) theta) for support indices k < l.  Binned-povm mode:
-    one row per POVM element of each phase's binned set, compressed
-    likewise.
+    One row per (phase, node): the density functional rho -> p(x_i, theta_j)
+    at the Gauss-Hermite nodes x_i of order 2*max(support)+2, which the
+    polynomial degree of p certifies to span every functional of the phase.
+    A row is the real coordinates of the rank-one quadrature projector
+    compressed to the support, written in closed form: psi_k^2 on the
+    diagonal, sqrt(2) psi_k psi_l times (cos, sin)((k-l) theta) for support
+    indices k < l.
     """
     sup = np.array(spec.support.indices)
-    if spec.mode == CONTINUOUS_FUNCTIONAL:
-        psi = hermite_function_table(int(sup[-1]), _hermgauss_nodes(spec.x_nodes_per_phase))[sup]
-        s, n_nodes = psi.shape
-        k, l = np.triu_indices(s, k=1)
-        pair = math.sqrt(2.0) * (psi[k] * psi[l]).T  # [node, pair]
-        angle = np.multiply.outer(spec.phases, sup[k] - sup[l])  # [phase, pair]
-        rows = np.empty((len(spec.phases), n_nodes, s * s))
-        rows[:, :, :s] = (psi * psi).T
-        rows[:, :, s : s + k.size] = np.cos(angle)[:, None, :] * pair
-        rows[:, :, s + k.size :] = np.sin(angle)[:, None, :] * pair
-        return rows.reshape(-1, s * s)
-    dim = spec.support.dim
-    layout = BinLayout(default_x_max(dim), spec.x_nodes_per_phase, include_overflow=True)
-    elements = [el for theta in spec.phases
-                for el in build_binned_quadrature_povm(theta, layout, dim).elements]
-    return real_coordinates(np.stack(elements)[:, sup[:, None], sup])
+    top = int(sup[-1])
+    psi = hermite_function_table(top, _hermgauss_nodes(2 * top + 2))[sup]
+    s, n_nodes = psi.shape
+    k, l = np.triu_indices(s, k=1)
+    pair = math.sqrt(2.0) * (psi[k] * psi[l]).T  # [node, pair]
+    angle = np.multiply.outer(spec.phases, sup[k] - sup[l])  # [phase, pair]
+    rows = np.empty((len(spec.phases), n_nodes, s * s))
+    rows[:, :, :s] = (psi * psi).T
+    rows[:, :, s : s + k.size] = np.cos(angle)[:, None, :] * pair
+    rows[:, :, s + k.size :] = np.sin(angle)[:, None, :] * pair
+    return rows.reshape(-1, s * s)
 
 
 def numerical_rank(matrix, tolerance: float | None = None) -> RankReport:
@@ -231,18 +197,20 @@ def rank_for(
     m: int,
     phases=None,
     tolerance: float | None = None,
-    mode: str = CONTINUOUS_FUNCTIONAL,
 ) -> RankReport:
     """Rank of the functional span for m phase settings on the support.
 
-    Phases default to default_phases(support, m); the closed-form
-    prediction is attached when the support is contiguous 0..d-1.
+    Phases default to default_phases(support, m); explicit phases must
+    number m.  The closed-form prediction is attached when the support is
+    contiguous 0..d-1.
     """
     if m < 1:
         raise ValueError("m must be positive")
     if phases is None:
         phases = default_phases(support, m)
-    spec = MeasurementSpec.default(support, phases, mode=mode)
+    spec = MeasurementSpec(support, phases)
+    if len(spec.phases) != m:
+        raise ValueError(f"m={m} does not match the {len(spec.phases)} phases given")
     report = numerical_rank(design_matrix(spec), tolerance)
     if support.is_contiguous:
         report = replace(report, predicted_rank=predicted_rank(support.size, m))
@@ -362,8 +330,7 @@ def displaced_counting_rank(
         raise ValueError("at least one displacement is required")
     if n_detect < dim:
         raise ValueError("n_detect must be at least dim")
-    guard = dim + 4 * math.ceil(max(abs(b) for b in betas) ** 2) + 20
-    work_dim = max(guard, n_detect + 1)
+    work_dim = max(_displacement_work_dim(dim, max(abs(b) for b in betas)), n_detect + 1)
     blocks = []
     for beta in betas:
         cols = _displacement(beta, work_dim)[:dim, :n_detect].T  # D(b)|n>, n < n_detect

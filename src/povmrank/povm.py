@@ -207,6 +207,11 @@ def povm_deficit(povm: PovmSet) -> float:
     return _identity_deficit(povm.dim, povm.elements)
 
 
+def _displacement_work_dim(dim: int, beta_abs: float) -> int:
+    """Least work_dim keeping truncation error in D(b)'s dim-block below ~1e-9."""
+    return dim + 4 * math.ceil(beta_abs**2) + 20
+
+
 def _displacement(beta: complex, work_dim: int) -> np.ndarray:
     """D(b) = exp(b a^+ - b* a) on a work_dim truncated ladder, exponentiated
     through the eigendecomposition of its Hermitian generator, which keeps
@@ -233,7 +238,7 @@ def displaced_number_operator(
         raise ValueError("n must be non-negative")
     if dim < 1:
         raise ValueError("dim must be positive")
-    guard = dim + 4 * math.ceil(abs(beta) ** 2) + 20
+    guard = _displacement_work_dim(dim, abs(beta))
     if work_dim is None:
         work_dim = max(guard, n + 1)
     if work_dim < guard:

@@ -139,6 +139,29 @@ def test_rank_requires_exactly_one_support_spec():
     assert err.value.code == 2
 
 
+SIM = ["simulate-reconstruct", "--state", "fock:0,1@1,1", "--seed", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["rank", "--d", "3", "--m", "1", "--phases", "0.1,0.9"], "not allowed with argument"),
+        (["rank", "--support", "0,1", "--d", "3", "--m", "1"], "not allowed with argument"),
+        (["rank", "--d", "3"], "one of the arguments --m --phases is required"),
+        (["rank", "--m", "1"], "one of the arguments --support --d is required"),
+        (SIM + ["--m", "2", "--phases", "0.1,0.9"], "not allowed with argument"),
+        (SIM, "one of the arguments --m --phases is required"),
+    ],
+    ids=["rank-m-phases", "rank-support-d", "rank-no-m", "rank-no-support",
+         "simulate-m-phases", "simulate-no-m"],
+)
+def test_option_pairs_are_exclusive_and_required(capsys, argv, message):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_rank_and_simulate_reject_bad_phases_alike(capsys):
     messages = []
     for argv in (

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from povmrank import (
-    BINNED_POVM,
     BinLayout,
     MeasurementSpec,
     RankReport,
@@ -74,27 +73,28 @@ def test_dimension_reduction_recursion_matches_closed_form():
 
 
 def test_design_matrix_single_level_support():
-    spec = MeasurementSpec.default(SupportSet((0,)), [0.0, 1.0])
+    spec = MeasurementSpec(SupportSet((0,)), [0.0, 1.0])
     report = numerical_rank(design_matrix(spec))
     assert report.numerical_rank == 1
 
 
 def test_design_matrix_one_phase_two_levels():
     # position-like cut: the antisymmetric off-diagonal component is missed
-    spec = MeasurementSpec.default(SupportSet((0, 1)), [0.0])
+    spec = MeasurementSpec(SupportSet((0, 1)), [0.0])
     assert numerical_rank(design_matrix(spec)).numerical_rank == 3
 
 
 def test_design_matrix_full_phase_set_saturates():
     for d in (2, 3, 5):
         sup = SupportSet.contiguous(d)
-        spec = MeasurementSpec.default(sup, default_phases(sup, d))
+        spec = MeasurementSpec(sup, default_phases(sup, d))
         assert numerical_rank(design_matrix(spec)).numerical_rank == d * d
 
 
 def test_design_matrix_row_count():
-    spec = MeasurementSpec(SupportSet((0, 1, 2)), (0.0, 0.9), x_nodes_per_phase=7)
-    assert design_matrix(spec).shape == (14, 9)
+    # Gauss-Hermite order 2*max(support)+2 = 6 nodes per phase
+    spec = MeasurementSpec(SupportSet((0, 1, 2)), (0.0, 0.9))
+    assert design_matrix(spec).shape == (12, 9)
 
 
 @pytest.mark.parametrize(
@@ -105,9 +105,9 @@ def test_design_matrix_matches_outer_product_rows(indices):
     """Closed-form continuous rows against the definition: the real
     coordinates of the projector |a><a| with a_k = psi_k(x) e^{i k theta}."""
     support = SupportSet(indices)
-    spec = MeasurementSpec.default(support, default_phases(support, 3))
+    spec = MeasurementSpec(support, default_phases(support, 3))
     sup = np.array(indices)
-    nodes = np.polynomial.hermite.hermgauss(spec.x_nodes_per_phase)[0]
+    nodes = np.polynomial.hermite.hermgauss(2 * max(indices) + 2)[0]
     psi = hermite_function_table(int(sup[-1]), nodes)[sup]
     rows = []
     for theta in spec.phases:
@@ -117,24 +117,14 @@ def test_design_matrix_matches_outer_product_rows(indices):
     assert np.max(np.abs(design_matrix(spec) - np.vstack(rows))) < 1e-14
 
 
-def test_design_matrix_binned_mode_rows():
-    spec = MeasurementSpec(SupportSet((0, 1, 2)), (0.0,), x_nodes_per_phase=5, mode=BINNED_POVM)
-    mat = design_matrix(spec)
-    assert mat.shape == (7, 9)  # 5 finite bins + 2 overflow
-
-
 def test_measurement_spec_validation():
     sup = SupportSet((0, 1, 2))
     with pytest.raises(ValueError, match="distinct"):
-        MeasurementSpec.default(sup, [0.1, 0.1 + math.pi])
+        MeasurementSpec(sup, [0.1, 0.1 + math.pi])
     with pytest.raises(ValueError, match="distinct"):
-        MeasurementSpec.default(sup, [1e-12, math.pi - 1e-12])  # wraparound duplicates
-    with pytest.raises(ValueError, match="x_nodes_per_phase"):
-        MeasurementSpec(sup, (0.0,), x_nodes_per_phase=4)
-    with pytest.raises(ValueError, match="mode"):
-        MeasurementSpec(sup, (0.0,), x_nodes_per_phase=7, mode="other")
+        MeasurementSpec(sup, [1e-12, math.pi - 1e-12])  # wraparound duplicates
     with pytest.raises(ValueError, match="phase"):
-        MeasurementSpec(sup, (), x_nodes_per_phase=7)
+        MeasurementSpec(sup, ())
 
 
 # ---------------------------------------------------------------- numerical_rank
@@ -213,6 +203,14 @@ def test_rank_for_attaches_prediction_on_contiguous_support():
     assert rep.numerical_rank == 12
 
 
+def test_rank_for_rejects_phase_count_mismatch():
+    # the prediction would otherwise be m(2d-m) for an m the phases do not have
+    with pytest.raises(ValueError, match="m=1"):
+        rank_for(SupportSet.contiguous(4), 1, phases=[0.0, 1.0, 2.0])
+    with pytest.raises(ValueError, match="m=3"):
+        rank_for(SupportSet.contiguous(4), 3, phases=[0.0])
+
+
 def test_rank_monotone_and_saturating():
     sup = SupportSet((0, 2, 5))
     full = sup.size**2
@@ -234,17 +232,6 @@ def test_rank_phase_offset_invariance():
             rank_for(sup, m, phases=shifted).numerical_rank
             == rank_for(sup, m).numerical_rank
         )
-
-
-def test_rank_node_count_invariance():
-    # any node count above the degree bound certifies the same span
-    sup = SupportSet((0, 3))
-    floor = 2 * 3 + 1
-    ranks = set()
-    for nodes in (floor, floor + 1, floor + 8, floor + 30):
-        spec = MeasurementSpec(sup, (0.0, 1.0), x_nodes_per_phase=nodes)
-        ranks.add(numerical_rank(design_matrix(spec)).numerical_rank)
-    assert len(ranks) == 1
 
 
 # ------------------------------------------------- min_phases_for_completeness
