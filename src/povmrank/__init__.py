@@ -22,18 +22,13 @@ from .completeness import (
 )
 from .fock import (
     DensityMatrix,
-    FockVector,
-    QuadraturePoint,
     SupportSet,
     coherent_amplitudes,
     hermite_function,
     hermite_function_table,
-    hermite_poly,
     hermitian_to_real_vector,
-    homodyne_pdf,
     homodyne_pdf_grid,
     photon_number_probability,
-    quadrature_amplitude,
     real_coordinates,
 )
 from .povm import (
@@ -61,11 +56,9 @@ __version__ = "0.1.0"
 __all__ = [
     "BinLayout",
     "DensityMatrix",
-    "FockVector",
     "MeasurementData",
     "MeasurementSpec",
     "PovmSet",
-    "QuadraturePoint",
     "RankReport",
     "ReconstructionResult",
     "SupportSet",
@@ -82,9 +75,7 @@ __all__ = [
     "fidelity",
     "hermite_function",
     "hermite_function_table",
-    "hermite_poly",
     "hermitian_to_real_vector",
-    "homodyne_pdf",
     "homodyne_pdf_grid",
     "min_phases_for_completeness",
     "ml_reconstruct",
@@ -93,7 +84,6 @@ __all__ = [
     "povm_deficit",
     "povm_span_rank",
     "predicted_rank",
-    "quadrature_amplitude",
     "rank_for",
     "real_coordinates",
     "sample_homodyne",

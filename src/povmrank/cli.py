@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -34,9 +35,12 @@ def _positive_int(text: str) -> int:
 
 def _phase_list(text: str) -> list:
     try:
-        return [float(p) for p in text.split(",")]
+        phases = [float(p) for p in text.split(",")]
+        if all(map(math.isfinite, phases)):
+            return phases
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated reals, got {text!r}") from None
+        pass
+    raise argparse.ArgumentTypeError(f"expected comma-separated finite reals, got {text!r}")
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -64,12 +68,13 @@ def parse_state_spec(spec: str, dim_override: int | None = None) -> DensityMatri
         amps = [complex(a) for a in at.split(",")]
         if len(indices) != len(amps):
             raise ValueError("fock state needs one amplitude per index")
+        if min(indices) < 0 or len(set(indices)) != len(indices):
+            raise ValueError("fock indices must be non-negative and distinct")
         dim = dim_override if dim_override is not None else max(indices) + 1
         if max(indices) >= dim:
             raise ValueError("fock index outside the working dimension")
         vec = np.zeros(dim, dtype=complex)
-        for i, a in zip(indices, amps):
-            vec[i] = a
+        vec[indices] = amps
         return DensityMatrix.pure(vec)
     if kind == "mixed":
         if body != "maximally":
@@ -80,7 +85,7 @@ def parse_state_spec(spec: str, dim_override: int | None = None) -> DensityMatri
         alpha = complex(body)
         dim = dim_override if dim_override is not None else int(at)
         vec, _tail = coherent_amplitudes(alpha, dim)
-        return DensityMatrix.pure(vec.amplitudes)
+        return DensityMatrix.pure(vec)
     raise ValueError(f"unknown state kind {kind!r}")
 
 
@@ -92,7 +97,7 @@ def _cmd_predict(args, parser) -> int:
 def _cmd_table(args, parser) -> int:
     if args.d_max < 2 or args.m_max < 1:
         parser.error("--d-max must be at least 2 and --m-max at least 1")
-    table = sweep_table(range(2, args.d_max + 1), range(1, args.m_max + 1), tolerance=args.tol)
+    table = sweep_table(range(2, args.d_max + 1), range(1, args.m_max + 1))
     if args.format == "json":
         _write_output(json.dumps(table.to_json_dict()), args.out)
     else:
@@ -119,7 +124,7 @@ def _cmd_rank(args, parser) -> int:
     support = _support_from_args(args, parser)
     m = len(args.phases) if args.phases else args.m
     try:
-        report = rank_for(support, m, phases=args.phases, tolerance=args.tol)
+        report = rank_for(support, m, phases=args.phases)
     except ValueError as exc:
         parser.error(str(exc))
     _write_output(json.dumps(report.to_json_dict()), args.out)
@@ -140,7 +145,7 @@ def _cmd_simulate_reconstruct(args, parser) -> int:
     n_bins = args.bins if args.bins is not None else 2 * dim - 1
     layout = BinLayout(x_max=default_x_max(dim), n_bins=n_bins, include_overflow=True)
     povms = [build_binned_quadrature_povm(theta, layout, dim) for theta in phases]
-    span = povm_span_rank(povms, tolerance=args.tol)
+    span = povm_span_rank(povms)
     if span.numerical_rank < dim * dim:
         print(
             f"warning: measurement not IC: rank {span.numerical_rank} < {dim * dim}",
@@ -171,7 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--d-max", type=_positive_int, default=8)
     p_table.add_argument("--m-max", type=_positive_int, default=6)
     p_table.add_argument("--format", choices=["csv", "json"], default="csv")
-    p_table.add_argument("--tol", type=float, default=None)
     p_table.add_argument("--out", default=None)
     p_table.set_defaults(func=_cmd_table)
 
@@ -182,7 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     phases = p_rank.add_mutually_exclusive_group(required=True)
     phases.add_argument("--m", type=_positive_int, help="number of default phases")
     phases.add_argument("--phases", type=_phase_list, help="explicit comma-separated phases")
-    p_rank.add_argument("--tol", type=float, default=None)
     p_rank.add_argument("--out", default=None)
     p_rank.set_defaults(func=_cmd_rank)
 
@@ -200,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, required=True)
     p_sim.add_argument("--max-iters", type=_positive_int, default=5000)
     p_sim.add_argument("--epsilon", type=float, default=0.5)
-    p_sim.add_argument("--tol", type=float, default=None)
     p_sim.add_argument("--out", default=None)
     p_sim.set_defaults(func=_cmd_simulate_reconstruct)
 

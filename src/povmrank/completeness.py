@@ -192,12 +192,7 @@ def numerical_rank(matrix, tolerance: float | None = None) -> RankReport:
     )
 
 
-def rank_for(
-    support: SupportSet,
-    m: int,
-    phases=None,
-    tolerance: float | None = None,
-) -> RankReport:
+def rank_for(support: SupportSet, m: int, phases=None) -> RankReport:
     """Rank of the functional span for m phase settings on the support.
 
     Phases default to default_phases(support, m); explicit phases must
@@ -211,7 +206,7 @@ def rank_for(
     spec = MeasurementSpec(support, phases)
     if len(spec.phases) != m:
         raise ValueError(f"m={m} does not match the {len(spec.phases)} phases given")
-    report = numerical_rank(design_matrix(spec), tolerance)
+    report = numerical_rank(design_matrix(spec))
     if support.is_contiguous:
         report = replace(report, predicted_rank=predicted_rank(support.size, m))
     return report
@@ -293,7 +288,7 @@ class SweepTable:
         }
 
 
-def sweep_table(d_range, m_range, tolerance: float | None = None) -> SweepTable:
+def sweep_table(d_range, m_range) -> SweepTable:
     """Rank reports for every (d, m) cell, equispaced phases, ascending order."""
     d_values = tuple(sorted(set(int(d) for d in d_range)))
     m_values = tuple(sorted(set(int(m) for m in m_range)))
@@ -304,11 +299,11 @@ def sweep_table(d_range, m_range, tolerance: float | None = None) -> SweepTable:
     reports = {}
     for d in d_values:
         for m in m_values:
-            reports[(d, m)] = rank_for(SupportSet.contiguous(d), m, tolerance=tolerance)
+            reports[(d, m)] = rank_for(SupportSet.contiguous(d), m)
     return SweepTable(d_values=d_values, m_values=m_values, reports=reports)
 
 
-def povm_span_rank(sets, tolerance: float | None = None) -> RankReport:
+def povm_span_rank(sets) -> RankReport:
     """Rank of the real span of all elements of the given POVM sets."""
     sets = list(sets)
     if not sets:
@@ -317,12 +312,10 @@ def povm_span_rank(sets, tolerance: float | None = None) -> RankReport:
     if any(ps.dim != dim for ps in sets):
         raise ValueError("all POVM sets must share the same dim")
     ops = np.stack([el for ps in sets for el in ps.elements])
-    return numerical_rank(real_coordinates(ops), tolerance)
+    return numerical_rank(real_coordinates(ops))
 
 
-def displaced_counting_rank(
-    betas, n_detect: int, dim: int, tolerance: float | None = None
-) -> RankReport:
+def displaced_counting_rank(betas, n_detect: int, dim: int) -> RankReport:
     """Rank of the span of displaced number projectors over all listed
     displacements and detector outcomes n < n_detect."""
     betas = [complex(b) for b in betas]
@@ -335,4 +328,4 @@ def displaced_counting_rank(
     for beta in betas:
         cols = _displacement(beta, work_dim)[:dim, :n_detect].T  # D(b)|n>, n < n_detect
         blocks.append(cols[:, :, None] * cols[:, None, :].conj())
-    return numerical_rank(real_coordinates(np.concatenate(blocks)), tolerance)
+    return numerical_rank(real_coordinates(np.concatenate(blocks)))

@@ -1,9 +1,9 @@
 """Fock-basis numerics for a single bosonic mode.
 
-Hermite polynomials, normalized oscillator wavefunctions, quadrature
-eigenstate overlaps, homodyne probability densities, coherent-state
-amplitudes, and the real vectorization of Hermitian operators used by the
-rank analysis.
+Tables of normalized oscillator wavefunctions psi_n from one
+Gaussian-damped recurrence, homodyne probability densities on a grid,
+coherent-state amplitudes, and the real vectorization of Hermitian
+operators used by the rank analysis.
 """
 
 from __future__ import annotations
@@ -14,19 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "MAX_RAW_HERMITE",
     "HERMITIAN_TOL",
     "TRACE_TOL",
     "EIGENVALUE_FLOOR",
-    "FockVector",
     "DensityMatrix",
-    "QuadraturePoint",
     "SupportSet",
-    "hermite_poly",
     "hermite_function",
     "hermite_function_table",
-    "quadrature_amplitude",
-    "homodyne_pdf",
     "homodyne_pdf_grid",
     "coherent_amplitudes",
     "photon_number_probability",
@@ -34,40 +28,9 @@ __all__ = [
     "hermitian_to_real_vector",
 ]
 
-# Raw H_n coefficients overflow float64 near n = 45.
-MAX_RAW_HERMITE = 40
-
 HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
-STATE_NORM_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class FockVector:
-    """Amplitudes over the Fock levels 0..dim-1.
-
-    With ``is_state=True`` the vector is validated as a normalized state;
-    truncated expansions (e.g. coherent states) keep the default and carry
-    their tail mass separately.
-    """
-
-    amplitudes: np.ndarray
-    is_state: bool = False
-
-    def __post_init__(self):
-        amp = np.array(self.amplitudes, dtype=complex)
-        if amp.ndim != 1 or amp.size == 0:
-            raise ValueError("amplitudes must be a non-empty 1-D sequence")
-        object.__setattr__(self, "amplitudes", amp)
-        if self.is_state:
-            norm2 = float(np.sum(np.abs(amp) ** 2))
-            if abs(norm2 - 1.0) > STATE_NORM_TOL:
-                raise ValueError(f"state vector has squared norm {norm2}, expected 1")
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
 
 
 @dataclass(frozen=True)
@@ -80,6 +43,8 @@ class DensityMatrix:
         rho = np.array(self.entries, dtype=complex)
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] == 0:
             raise ValueError("entries must be a square non-empty matrix")
+        if not np.isfinite(rho).all():
+            raise ValueError("entries must be finite")
         asym = float(np.max(np.abs(rho - rho.conj().T)))
         if asym > HERMITIAN_TOL:
             raise ValueError(f"matrix is not Hermitian (max asymmetry {asym:.3e})")
@@ -99,6 +64,8 @@ class DensityMatrix:
     def pure(cls, amplitudes) -> "DensityMatrix":
         """Projector onto a pure state; amplitudes are normalized on input."""
         c = np.asarray(amplitudes, dtype=complex)
+        if not np.isfinite(c).all():
+            raise ValueError("amplitudes must be finite")
         norm = float(np.linalg.norm(c))
         if norm == 0.0:
             raise ValueError("cannot normalize the zero vector")
@@ -110,35 +77,6 @@ class DensityMatrix:
         if dim < 1:
             raise ValueError("dim must be positive")
         return cls(np.eye(dim, dtype=complex) / dim)
-
-
-@dataclass(frozen=True)
-class QuadraturePoint:
-    """Outcome label (x, theta) of a rotated-quadrature measurement.
-
-    theta is canonicalized to [0, pi): shifting theta by pi while flipping
-    the sign of x leaves every Fock-state overlap unchanged, so the
-    reduction is value-preserving.
-    """
-
-    x: float
-    theta: float
-
-    def __post_init__(self):
-        x = float(self.x)
-        theta = float(self.theta)
-        if not (math.isfinite(x) and math.isfinite(theta)):
-            raise ValueError("x and theta must be finite")
-        k = math.floor(theta / math.pi)
-        if k != 0:
-            theta -= k * math.pi
-            if k % 2:
-                x = -x
-        if theta >= math.pi:  # fp guard when theta/pi rounds just below an integer
-            theta -= math.pi
-            x = -x
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "theta", theta)
 
 
 @dataclass(frozen=True)
@@ -175,28 +113,6 @@ class SupportSet:
     @property
     def is_contiguous(self) -> bool:
         return self.indices == tuple(range(len(self.indices)))
-
-
-def hermite_poly(n: int, x: float) -> float:
-    """Physicists' Hermite polynomial H_n(x) by the three-term recurrence.
-
-    Raw polynomial values overflow double precision near n = 45, so n is
-    capped at MAX_RAW_HERMITE; use hermite_function beyond that.
-    """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n > MAX_RAW_HERMITE:
-        raise ValueError(
-            f"raw Hermite polynomials overflow for n > {MAX_RAW_HERMITE}; "
-            "use hermite_function instead"
-        )
-    x = float(x)
-    if n == 0:
-        return 1.0
-    h_prev, h = 1.0, 2.0 * x
-    for k in range(1, n):
-        h_prev, h = h, 2.0 * x * h - 2.0 * k * h_prev
-    return h
 
 
 # Recurrence mantissas are kept inside [2^-300, 2^300]; the running binary
@@ -279,22 +195,6 @@ def hermite_function_table(n_max: int, x) -> np.ndarray:
     return table
 
 
-def quadrature_amplitude(n: int, point: QuadraturePoint) -> complex:
-    """Overlap of Fock state n with the quadrature eigenstate at (x, theta):
-    psi_n(x) e^{i n theta}."""
-    return complex(hermite_function(n, point.x) * np.exp(1j * n * point.theta))
-
-
-def homodyne_pdf(rho: DensityMatrix, point: QuadraturePoint) -> float:
-    """Probability density of quadrature outcome x at phase theta.
-
-    Born pairing of the state with the rank-one quadrature projector, so
-    the value equals the trace against the integrated bin operators; with
-    the normalized overlaps it integrates to one over x for every phase.
-    """
-    return float(homodyne_pdf_grid(rho, point.theta, point.x)[0])
-
-
 def homodyne_pdf_grid(rho: DensityMatrix, theta: float, xs) -> np.ndarray:
     """Vectorized homodyne density over a grid of quadrature values."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
@@ -307,8 +207,8 @@ def homodyne_pdf_grid(rho: DensityMatrix, theta: float, xs) -> np.ndarray:
 def coherent_amplitudes(alpha: complex, n_cut: int):
     """Truncated coherent-state amplitudes c_n = e^{-|a|^2/2} a^n / sqrt(n!).
 
-    Returns (FockVector of the first n_cut amplitudes, tail mass left above
-    the cutoff).  The amplitudes are built by the stable recurrence
+    Returns (array of the first n_cut amplitudes, tail mass left above the
+    cutoff).  The amplitudes are built by the stable recurrence
     c_{n+1} = c_n * alpha / sqrt(n+1), avoiding explicit factorials.
     """
     if n_cut < 1:
@@ -319,7 +219,7 @@ def coherent_amplitudes(alpha: complex, n_cut: int):
     for n in range(n_cut - 1):
         c[n + 1] = c[n] * alpha / math.sqrt(n + 1.0)
     tail = max(0.0, 1.0 - float(np.sum(np.abs(c) ** 2)))
-    return FockVector(c), tail
+    return c, tail
 
 
 def photon_number_probability(alpha: complex, n: int) -> float:

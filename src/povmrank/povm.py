@@ -117,6 +117,8 @@ class PovmSet:
         if any(np.shape(el) != (self.dim, self.dim) for el in self.elements):
             raise ValueError("element shape does not match dim")
         els = np.asarray(self.elements, dtype=complex)
+        if not np.isfinite(els).all():
+            raise ValueError("elements must be finite")
         adjoint = els.conj().swapaxes(-1, -2)
         asym = float(np.max(np.abs(els - adjoint)))
         if asym > ELEMENT_HERMITIAN_TOL:

@@ -139,6 +139,18 @@ def test_rank_requires_exactly_one_support_spec():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("command", [
+    ["table", "--d-max", "3", "--m-max", "2"],
+    ["rank", "--d", "3", "--m", "2"],
+    ["simulate-reconstruct", "--state", "fock:0,1@1,1", "--m", "2", "--seed", "1"],
+])
+def test_rank_threshold_is_not_a_cli_option(capsys, command):
+    with pytest.raises(SystemExit) as err:
+        main(command + ["--tol", "-1"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
 SIM = ["simulate-reconstruct", "--state", "fock:0,1@1,1", "--seed", "1"]
 
 
@@ -163,17 +175,19 @@ def test_option_pairs_are_exclusive_and_required(capsys, argv, message):
 
 
 def test_rank_and_simulate_reject_bad_phases_alike(capsys):
-    messages = []
-    for argv in (
-        ["rank", "--d", "3", "--phases", "0.1,x"],
-        ["simulate-reconstruct", "--state", "fock:0,1@1,1", "--phases", "0.1,x", "--seed", "1"],
-    ):
-        with pytest.raises(SystemExit) as err:
-            main(argv)
-        assert err.value.code == 2
-        messages.append(capsys.readouterr().err.strip().splitlines()[-1].split(": error: ", 1)[1])
-    assert messages[0] == messages[1]
-    assert messages[0].count("--phases") == 1
+    for phases in ("0.1,x", "nan,0", "inf"):
+        messages = []
+        for argv in (
+            ["rank", "--d", "3", "--phases", phases],
+            ["simulate-reconstruct", "--state", "fock:0,1@1,1", "--phases", phases, "--seed", "1"],
+        ):
+            with pytest.raises(SystemExit) as err:
+                main(argv)
+            assert err.value.code == 2
+            err_text = capsys.readouterr().err.strip().splitlines()[-1]
+            messages.append(err_text.split(": error: ", 1)[1])
+        assert messages[0] == messages[1]
+        assert messages[0].count("--phases") == 1
 
 
 def test_parser_reuse_after_usage_errors(capsys):
@@ -254,9 +268,13 @@ def test_simulate_reconstruct_recovers_ic_state(capsys):
 
 
 def test_simulate_reconstruct_rejects_bad_state():
-    with pytest.raises(SystemExit) as err:
-        main(["simulate-reconstruct", "--state", "what:ever@3", "--m", "2", "--seed", "1"])
-    assert err.value.code == 2
+    bad = ("what:ever@3", "fock:-1@1", "fock:0,0@1,1", "fock:0,1@1,nan", "fock:0@inf",
+           "coherent:nan@3")
+    for state in bad:
+        for dim in ([], ["--d", "3"]):
+            with pytest.raises(SystemExit) as err:
+                main(["simulate-reconstruct", "--state", state, "--m", "2", "--seed", "1"] + dim)
+            assert err.value.code == 2
 
 
 # ------------------------------------------------------------------- state spec
@@ -295,3 +313,10 @@ def test_parse_state_spec_malformed():
         parse_state_spec("fock://nope")
     with pytest.raises(ValueError):
         parse_state_spec("fock:0,1@1")
+    for spec in ("fock:-1@1", "fock:0,-1@1,1", "fock:0,0@1,1", "fock:2,1,2@1,1,1"):
+        for dim in (None, 3):
+            with pytest.raises(ValueError, match="non-negative and distinct"):
+                parse_state_spec(spec, dim_override=dim)
+    for spec in ("fock:0,1@1,nan", "fock:0@inf", "coherent:nan@3"):
+        with pytest.raises(ValueError, match="finite"):
+            parse_state_spec(spec)

@@ -6,18 +6,13 @@ from scipy.special import eval_hermite
 
 from povmrank import (
     DensityMatrix,
-    FockVector,
-    QuadraturePoint,
     SupportSet,
     coherent_amplitudes,
     hermite_function,
     hermite_function_table,
-    hermite_poly,
     hermitian_to_real_vector,
-    homodyne_pdf,
     homodyne_pdf_grid,
     photon_number_probability,
-    quadrature_amplitude,
     real_coordinates,
 )
 
@@ -29,36 +24,6 @@ def scaled_hermite(n, x):
     log-normalization (no recurrence shared with the production path)."""
     norm = math.exp(-0.5 * (n * math.log(2.0) + math.lgamma(n + 1.0)))
     return math.pi**-0.25 * norm * eval_hermite(n, x)
-
-
-# ---------------------------------------------------------------- hermite_poly
-
-
-def test_hermite_poly_base_cases():
-    assert hermite_poly(0, 3.7) == 1.0
-    assert hermite_poly(2, 1.0) == pytest.approx(2.0, abs=1e-14)
-
-
-def test_hermite_poly_eighth_order_coefficients():
-    # 256 x^8 - 3584 x^6 + 13440 x^4 - 13440 x^2 + 1680
-    poly = np.polynomial.Polynomial([1680, 0, -13440, 0, 13440, 0, -3584, 0, 256])
-    for x in (0.5, 1.0, 2.0):
-        assert hermite_poly(8, x) == pytest.approx(poly(x), rel=1e-12)
-
-
-def test_hermite_poly_matches_scipy():
-    xs = np.linspace(-6, 6, 13)
-    for n in (1, 3, 7, 20, 40):
-        ref = eval_hermite(n, xs)
-        got = np.array([hermite_poly(n, x) for x in xs])
-        assert np.allclose(got, ref, rtol=1e-10, atol=1e-10 * np.max(np.abs(ref)))
-
-
-def test_hermite_poly_rejects_overflow_range():
-    with pytest.raises(ValueError, match="overflow"):
-        hermite_poly(41, 1.0)
-    with pytest.raises(ValueError):
-        hermite_poly(-1, 1.0)
 
 
 # ------------------------------------------------------------ hermite_function
@@ -76,7 +41,7 @@ def test_hermite_function_matches_raw_formula():
     # psi_n * pi^(1/4) * sqrt(2^n n!) * e^(x^2/2) reproduces H_n for n <= 40
     xs = np.linspace(-6, 6, 25)
     for n in range(41):
-        raw = np.array([hermite_poly(n, x) for x in xs])
+        raw = eval_hermite(n, xs)
         lifted = (
             hermite_function(n, xs)
             * math.pi**0.25
@@ -85,6 +50,8 @@ def test_hermite_function_matches_raw_formula():
         )
         scale = np.max(np.abs(raw))
         assert np.allclose(lifted, raw, rtol=1e-9, atol=1e-9 * scale)
+    # frozen value: psi_2(1) = pi^(-1/4) e^(-1/2) / sqrt(2)
+    assert hermite_function(2, 1.0) == pytest.approx(0.3221441825567377, rel=1e-12)
 
 
 def test_hermite_function_unit_norm():
@@ -123,69 +90,21 @@ def test_table_agrees_with_single_evaluations():
         assert np.array_equal(table[n], hermite_function(n, xs))
 
 
-# -------------------------------------------------------- quadrature_amplitude
-
-
-def test_amplitude_real_at_theta_zero():
-    for n in range(8):
-        for x in (-2.0, 0.3, 4.1):
-            amp = quadrature_amplitude(n, QuadraturePoint(x, 0.0))
-            assert amp.imag == 0.0
-
-
-def test_amplitude_vacuum_phase_independent():
-    for theta in (0.0, 0.7, 2.9):
-        amp = quadrature_amplitude(0, QuadraturePoint(1.3, theta))
-        assert amp == complex(hermite_function(0, 1.3))
-
-
-def test_amplitude_frozen_value():
-    # psi_2(1) * e^{i pi/2}: purely imaginary
-    amp = quadrature_amplitude(2, QuadraturePoint(1.0, math.pi / 4))
-    assert amp.real == pytest.approx(0.0, abs=1e-15)
-    assert amp.imag == pytest.approx(0.3221441825567377, rel=1e-12)
-
-
-def test_amplitude_modulus_and_argument():
-    for n in (1, 3, 6):
-        point = QuadraturePoint(0.9, 1.1)
-        amp = quadrature_amplitude(n, point)
-        assert abs(amp) == pytest.approx(abs(hermite_function(n, 0.9)), rel=1e-12)
-        expected_arg = (n * 1.1) % (2 * math.pi)
-        got_arg = math.atan2(amp.imag, amp.real) % (2 * math.pi)
-        sign = 1.0 if hermite_function(n, 0.9) > 0 else -1.0
-        if sign < 0:
-            got_arg = (got_arg - math.pi) % (2 * math.pi)
-        assert got_arg == pytest.approx(expected_arg, abs=1e-12)
-
-
-def test_quadrature_point_canonical_form():
-    point = QuadraturePoint(1.2, math.pi + 0.3)
-    assert 0.0 <= point.theta < math.pi
-    assert point.x == -1.2
-    # canonicalization preserves the overlap value
-    for n in range(5):
-        direct = hermite_function(n, 1.2) * np.exp(1j * n * (math.pi + 0.3))
-        assert quadrature_amplitude(n, point) == pytest.approx(direct, abs=1e-12)
-
-
-# ----------------------------------------------------------------- homodyne_pdf
+# ------------------------------------------------------------ homodyne_pdf_grid
 
 
 def test_vacuum_pdf_is_gaussian():
     vac = DensityMatrix.pure([1.0])
-    assert homodyne_pdf(vac, QuadraturePoint(0.0, 0.4)) == pytest.approx(
-        1.0 / SQRT_PI, rel=1e-13
-    )
+    assert homodyne_pdf_grid(vac, 0.4, [0.0])[0] == pytest.approx(1.0 / SQRT_PI, rel=1e-13)
     for x in (-1.5, 0.7):
-        assert homodyne_pdf(vac, QuadraturePoint(x, 0.0)) == pytest.approx(
+        assert homodyne_pdf_grid(vac, 0.0, [x])[0] == pytest.approx(
             math.exp(-x * x) / SQRT_PI, rel=1e-13
         )
 
 
 def test_one_photon_pdf_vanishes_at_origin():
     one = DensityMatrix.pure([0.0, 1.0])
-    assert homodyne_pdf(one, QuadraturePoint(0.0, 1.2)) == 0.0
+    assert homodyne_pdf_grid(one, 1.2, [0.0])[0] == 0.0
 
 
 def test_counterexample_states_share_position_distribution():
@@ -222,8 +141,8 @@ def test_pdf_phase_covariance(rng, make_rho):
     rotated = DensityMatrix(rotation @ rho.entries @ rotation.conj().T)
     for x in (-1.1, 0.2, 2.5):
         for theta in (0.0, 0.6, 2.1):
-            lhs = homodyne_pdf(rho, QuadraturePoint(x, theta + phi))
-            rhs = homodyne_pdf(rotated, QuadraturePoint(x, theta))
+            lhs = homodyne_pdf_grid(rho, theta + phi, [x])[0]
+            rhs = homodyne_pdf_grid(rotated, theta, [x])[0]
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -232,7 +151,7 @@ def test_pdf_phase_covariance(rng, make_rho):
 
 def test_coherent_vacuum():
     vec, tail = coherent_amplitudes(0.0, 4)
-    assert np.array_equal(vec.amplitudes, [1, 0, 0, 0])
+    assert np.array_equal(vec, [1, 0, 0, 0])
     assert tail == 0.0
 
 
@@ -241,7 +160,7 @@ def test_coherent_norm_plus_tail(rng):
         alpha = complex(rng.normal(), rng.normal())
         n_cut = int(rng.integers(1, 30))
         vec, tail = coherent_amplitudes(alpha, n_cut)
-        total = float(np.sum(np.abs(vec.amplitudes) ** 2)) + tail
+        total = float(np.sum(np.abs(vec) ** 2)) + tail
         assert abs(total - 1.0) < 1e-14
 
 
@@ -260,7 +179,7 @@ def test_coherent_matches_direct_formula():
             * alpha**n
             / math.sqrt(math.factorial(n))
         )
-        assert vec.amplitudes[n] == pytest.approx(direct, rel=1e-12)
+        assert vec[n] == pytest.approx(direct, rel=1e-12)
 
 
 # --------------------------------------------------- photon_number_probability
@@ -375,6 +294,12 @@ def test_density_matrix_rejects_invalid():
         DensityMatrix(np.eye(2))
     with pytest.raises(ValueError, match="PSD"):
         DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
+    for bad in (np.diag([math.nan, math.nan]), np.diag([1.0, math.inf])):
+        with pytest.raises(ValueError, match="finite"):
+            DensityMatrix(bad)
+    for amplitudes in ([math.nan, 1.0], [math.inf, 1.0]):
+        with pytest.raises(ValueError, match="finite"):
+            DensityMatrix.pure(amplitudes)
 
 
 def test_density_matrix_constructors():
@@ -383,14 +308,6 @@ def test_density_matrix_constructors():
     assert np.trace(mixed.entries) == pytest.approx(1.0)
     pure = DensityMatrix.pure([3.0, 4.0])  # normalized on input
     assert np.real(pure.entries[0, 0]) == pytest.approx(0.36, rel=1e-12)
-
-
-def test_fock_vector_state_flag():
-    FockVector(np.array([1.0, 0.0]), is_state=True)
-    with pytest.raises(ValueError, match="norm"):
-        FockVector(np.array([1.0, 1.0]), is_state=True)
-    # non-state vectors may be sub-normalized
-    FockVector(np.array([0.5, 0.5]))
 
 
 def test_support_set_validation():

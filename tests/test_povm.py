@@ -229,6 +229,8 @@ def test_povm_set_rejects_negative_element():
         (np.array([[0.1, 0.2], [0.0, 0.1]], dtype=complex), "not Hermitian"),
         (np.diag([0.3, -0.01]).astype(complex), "not PSD"),
         (np.eye(3, dtype=complex), "shape does not match dim"),
+        (np.diag([math.nan, 0.0]).astype(complex), "finite"),
+        (np.diag([0.5, math.inf]).astype(complex), "finite"),
     ],
 )
 def test_povm_set_rejects_one_bad_element_in_a_batch(bad, message):
@@ -279,7 +281,7 @@ def test_displaced_vacuum_matches_coherent_projector():
     dim = 6
     op = displaced_number_operator(beta, 0, dim)
     vec, _ = coherent_amplitudes(beta, dim)
-    proj = np.outer(vec.amplitudes, vec.amplitudes.conj())
+    proj = np.outer(vec, vec.conj())
     assert np.max(np.abs(op - proj)) < 1e-9
 
 
