@@ -37,7 +37,6 @@ from .povm import (
     build_binned_quadrature_povm,
     default_x_max,
     displaced_number_operator,
-    povm_deficit,
     quadrature_bin_operator,
 )
 from .tomo import (
@@ -81,7 +80,6 @@ __all__ = [
     "ml_reconstruct",
     "numerical_rank",
     "photon_number_probability",
-    "povm_deficit",
     "povm_span_rank",
     "predicted_rank",
     "rank_for",

@@ -152,7 +152,7 @@ def _cmd_simulate_reconstruct(args, parser) -> int:
             file=sys.stderr,
         )
     data = simulate_dataset(rho_true, phases, layout, args.samples, args.seed)
-    result = ml_reconstruct(data, povms, dim, max_iters=args.max_iters, epsilon=args.epsilon)
+    result = ml_reconstruct(data, povms, max_iters=args.max_iters, epsilon=args.epsilon)
     payload = result.to_json_dict()
     payload["fidelity"] = fidelity(result.estimate, rho_true)
     _write_output(json.dumps(payload), args.out)

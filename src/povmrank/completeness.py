@@ -97,7 +97,7 @@ class MeasurementSpec:
 
 @dataclass(frozen=True)
 class RankReport:
-    """Numerical rank with its spectral certificate.
+    """Numerical rank with its spectral certificate (read-only singular values).
 
     ``gap`` is sigma_rank / sigma_{rank+1} (+inf when the trailing value is
     absent or exactly zero); anything below 1e3 is flagged ill-conditioned.
@@ -108,6 +108,11 @@ class RankReport:
     gap: float
     tolerance_used: float
     predicted_rank: int | None = None
+
+    def __post_init__(self):
+        sv = np.array(self.singular_values, dtype=float)
+        sv.flags.writeable = False
+        object.__setattr__(self, "singular_values", sv)
 
     @property
     def is_ill_conditioned(self) -> bool:
@@ -167,18 +172,16 @@ def design_matrix(spec: MeasurementSpec) -> np.ndarray:
     return rows.reshape(-1, s * s)
 
 
-def numerical_rank(matrix, tolerance: float | None = None) -> RankReport:
+def numerical_rank(matrix) -> RankReport:
     """Singular-value rank with a gap certificate.
 
-    Default threshold: max(rows, cols) * sigma_max * 1e-12.  An explicit
-    tolerance overrides it.
+    Threshold: max(rows, cols) * sigma_max * 1e-12.
     """
     mat = np.asarray(matrix, dtype=float)
     if mat.ndim != 2 or mat.size == 0:
         raise ValueError("matrix must be 2-D and non-empty")
     sv = np.linalg.svd(mat, compute_uv=False)
-    sigma_max = float(sv[0])
-    tol = float(tolerance) if tolerance is not None else max(mat.shape) * sigma_max * RANK_RTOL
+    tol = max(mat.shape) * float(sv[0]) * RANK_RTOL
     rank = int(np.sum(sv > tol))
     if rank == 0 or rank >= sv.size or sv[rank] == 0.0:
         gap = math.inf
@@ -308,11 +311,9 @@ def povm_span_rank(sets) -> RankReport:
     sets = list(sets)
     if not sets:
         raise ValueError("at least one POVM set is required")
-    dim = sets[0].dim
-    if any(ps.dim != dim for ps in sets):
+    if any(ps.dim != sets[0].dim for ps in sets):
         raise ValueError("all POVM sets must share the same dim")
-    ops = np.stack([el for ps in sets for el in ps.elements])
-    return numerical_rank(real_coordinates(ops))
+    return numerical_rank(real_coordinates(np.concatenate([ps.elements for ps in sets])))
 
 
 def displaced_counting_rank(betas, n_detect: int, dim: int) -> RankReport:

@@ -35,7 +35,7 @@ EIGENVALUE_FLOOR = -1e-10
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite matrix in the Fock basis."""
+    """Hermitian, unit-trace, positive-semidefinite read-only Fock-basis matrix."""
 
     entries: np.ndarray
 
@@ -54,6 +54,7 @@ class DensityMatrix:
         eig_min = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
         if eig_min < EIGENVALUE_FLOOR:
             raise ValueError(f"matrix is not PSD (min eigenvalue {eig_min:.3e})")
+        rho.flags.writeable = False
         object.__setattr__(self, "entries", rho)
 
     @property
@@ -66,7 +67,12 @@ class DensityMatrix:
         c = np.asarray(amplitudes, dtype=complex)
         if not np.isfinite(c).all():
             raise ValueError("amplitudes must be finite")
-        norm = float(np.linalg.norm(c))
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(c))
+        if norm in (0.0, math.inf) and c.any():  # |c|^2 under- or overflowed
+            top = max(np.max(np.abs(c.real)), np.max(np.abs(c.imag)))
+            c = c.real / top + 1j * (c.imag / top)
+            norm = float(np.linalg.norm(c))
         if norm == 0.0:
             raise ValueError("cannot normalize the zero vector")
         c = c / norm

@@ -1,13 +1,13 @@
 """Finite POVM construction on truncated Fock subspaces.
 
-Binned quadrature projectors and displaced photon-number detectors, each
-set carrying a resolution-of-identity deficit certificate.
+Binned quadrature projectors and displaced photon-number detectors; a set
+is one read-only element stack with the identity deficit it always computes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,7 +20,6 @@ __all__ = [
     "quadrature_bin_operator",
     "build_binned_quadrature_povm",
     "displaced_number_operator",
-    "povm_deficit",
 ]
 
 ELEMENT_HERMITIAN_TOL = 1e-10
@@ -92,22 +91,19 @@ def quadrature_bin_operator(theta: float, a, b, dim: int) -> np.ndarray:
     return bins.reshape(a.shape + (dim, dim)) * np.outer(phase, phase.conj())
 
 
-def _identity_deficit(dim: int, elements) -> float:
-    return float(np.linalg.norm(np.eye(dim) - np.sum(elements, axis=0), ord=2))
-
-
-@dataclass
+@dataclass(frozen=True)
 class PovmSet:
     """POVM elements on a dim-level subspace plus a completeness certificate.
 
-    ``deficit`` is the spectral norm of (identity - sum of elements); it is
-    computed at construction unless restored from serialized form.
+    ``elements`` is one read-only complex array of shape [n, dim, dim],
+    checked once at construction.  ``deficit`` is the spectral norm of
+    (identity - sum of elements), always computed from that array.
     """
 
     dim: int
-    elements: list
+    elements: np.ndarray
     label: str = ""
-    deficit: float | None = None
+    deficit: float = field(init=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -116,7 +112,7 @@ class PovmSet:
             raise ValueError("a POVM set needs at least one element")
         if any(np.shape(el) != (self.dim, self.dim) for el in self.elements):
             raise ValueError("element shape does not match dim")
-        els = np.asarray(self.elements, dtype=complex)
+        els = np.array(self.elements, dtype=complex)
         if not np.isfinite(els).all():
             raise ValueError("elements must be finite")
         adjoint = els.conj().swapaxes(-1, -2)
@@ -126,9 +122,10 @@ class PovmSet:
         eig_min = float(np.min(np.linalg.eigvalsh(0.5 * (els + adjoint))))
         if eig_min < ELEMENT_EIGENVALUE_FLOOR:
             raise ValueError(f"element is not PSD (min eigenvalue {eig_min:.3e})")
-        self.elements = list(els)
-        if self.deficit is None:
-            self.deficit = _identity_deficit(self.dim, els)
+        els.flags.writeable = False
+        deficit = float(np.linalg.norm(np.eye(self.dim) - np.sum(els, axis=0), ord=2))
+        object.__setattr__(self, "elements", els)
+        object.__setattr__(self, "deficit", deficit)
 
     def to_json_dict(self) -> dict:
         return {
@@ -143,11 +140,11 @@ class PovmSet:
         dim = int(data["dim"])
         # each [re, im] pair is one complex128, so a view restores it bit for bit
         pairs = np.asarray(data["elements"], dtype=float)
-        elements = list(pairs.view(complex).reshape(len(pairs), dim, dim))
-        return cls(dim=dim, elements=elements, label=data["label"], deficit=data["deficit"])
+        elements = pairs.view(complex).reshape(len(pairs), dim, dim)
+        return cls(dim=dim, elements=elements, label=data["label"])
 
 
-@dataclass
+@dataclass(frozen=True)
 class BinLayout:
     """Equal-width partition of [-x_max, x_max], optionally flanked by two
     half-infinite overflow bins."""
@@ -196,17 +193,12 @@ class BinLayout:
 def build_binned_quadrature_povm(theta: float, layout: BinLayout, dim: int) -> PovmSet:
     """One operator per bin of the layout at phase theta, in ascending bin order."""
     lo, hi = np.array(layout.intervals()).T
-    elements = list(quadrature_bin_operator(theta, lo, hi, dim))
+    elements = quadrature_bin_operator(theta, lo, hi, dim)
     label = (
         f"binned-quadrature theta={theta:.12g} n_bins={layout.n_bins} "
         f"x_max={layout.x_max:g} overflow={layout.include_overflow}"
     )
     return PovmSet(dim=dim, elements=elements, label=label)
-
-
-def povm_deficit(povm: PovmSet) -> float:
-    """Spectral norm of (identity - sum of elements)."""
-    return _identity_deficit(povm.dim, povm.elements)
 
 
 def _displacement_work_dim(dim: int, beta_abs: float) -> int:

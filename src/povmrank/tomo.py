@@ -36,12 +36,12 @@ PROBABILITY_FLOOR = 1e-300
 MAX_SEED = 2**64
 
 
-@dataclass
+@dataclass(frozen=True)
 class MeasurementData:
     """Per-setting, per-bin event counts with sampling provenance."""
 
-    settings: list  # of (phase, BinLayout)
-    counts: list  # of integer vectors, aligned with the settings
+    settings: tuple  # of (phase, BinLayout)
+    counts: tuple  # of read-only int64 vectors, aligned with the settings
     total_per_setting: int
     seed: int
 
@@ -57,17 +57,18 @@ class MeasurementData:
         for (phase, layout), vec in zip(self.settings, self.counts):
             if not isinstance(layout, BinLayout):
                 raise TypeError("each setting needs a BinLayout")
-            arr = np.asarray(vec, dtype=np.int64)
+            arr = np.array(vec, dtype=np.int64)
             if arr.size != layout.n_elements:
                 raise ValueError("count vector length does not match the layout")
             if np.any(arr < 0):
                 raise ValueError("counts must be non-negative")
             if int(arr.sum()) != self.total_per_setting:
                 raise ValueError("per-setting counts must sum to total_per_setting")
+            arr.flags.writeable = False
             settings.append((float(phase), layout))
             counts.append(arr)
-        self.settings = settings
-        self.counts = counts
+        object.__setattr__(self, "settings", tuple(settings))
+        object.__setattr__(self, "counts", tuple(counts))
 
     def to_json_dict(self) -> dict:
         return {
@@ -85,19 +86,19 @@ class MeasurementData:
             raise ValueError("totals must be uniform across settings")
         layouts = [BinLayout.from_json_dict(d) for d in data["layouts"]]
         return cls(
-            settings=list(zip((float(p) for p in data["settings"]), layouts)),
-            counts=[np.array(vec, dtype=np.int64) for vec in data["counts"]],
+            settings=tuple(zip(data["settings"], layouts)),
+            counts=data["counts"],
             total_per_setting=totals.pop(),
             seed=int(data["seed"]),
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReconstructionResult:
     """Maximum-likelihood estimate with its convergence record."""
 
     estimate: DensityMatrix
-    log_likelihood_trace: list
+    log_likelihood_trace: tuple
     iterations: int
     converged: bool
     singular_data: bool = False
@@ -105,12 +106,12 @@ class ReconstructionResult:
     def __post_init__(self):
         if not isinstance(self.estimate, DensityMatrix):
             raise TypeError("estimate must be a DensityMatrix")
-        trace = [float(v) for v in self.log_likelihood_trace]
+        trace = tuple(float(v) for v in self.log_likelihood_trace)
         if not trace:
             raise ValueError("log-likelihood trace must be non-empty")
         if any(b - a < -LOGLIK_GAIN_TOL for a, b in zip(trace, trace[1:])):
             raise ValueError("log-likelihood trace decreased beyond tolerance")
-        self.log_likelihood_trace = trace
+        object.__setattr__(self, "log_likelihood_trace", trace)
 
     def to_json_dict(self) -> dict:
         return {
@@ -158,9 +159,9 @@ def bin_samples(samples, layout: BinLayout) -> np.ndarray:
     return np.concatenate([[left], inner, [right]]).astype(np.int64)
 
 
-def _born_rows(povms, dim: int) -> np.ndarray:
+def _born_rows(povms) -> np.ndarray:
     """B_j = conj(vec E_j): real(B @ vec rho) is Tr(rho E_j), (w @ B).conj() is sum_j w_j E_j."""
-    return np.array([el for povm in povms for el in povm.elements]).reshape(-1, dim * dim).conj()
+    return np.concatenate([ps.elements.reshape(len(ps.elements), -1) for ps in povms]).conj()
 
 
 def simulate_dataset(
@@ -178,7 +179,7 @@ def simulate_dataset(
         raise ValueError("seed must be a 64-bit non-negative integer")
     phases = [float(p) for p in phases]
     povms = [build_binned_quadrature_povm(theta, layout, rho.dim) for theta in phases]
-    probs = np.clip(np.real(_born_rows(povms, rho.dim) @ rho.entries.ravel()), 0.0, None)
+    probs = np.clip(np.real(_born_rows(povms) @ rho.entries.ravel()), 0.0, None)
     counts = []
     for i, p in enumerate(probs.reshape(len(phases), layout.n_elements)):
         outcomes = np.append(p, max(0.0, 1.0 - p.sum()))  # last: mass outside the layout
@@ -200,21 +201,20 @@ def _log_likelihood(counts: np.ndarray, probs: np.ndarray) -> float:
 def ml_reconstruct(
     data: MeasurementData,
     povms: list,
-    dim: int,
+    *,
     max_iters: int = 5000,
     epsilon: float = 0.5,
 ) -> ReconstructionResult:
-    """Diluted R-rho-R maximum-likelihood reconstruction.
+    """Diluted R-rho-R maximum-likelihood reconstruction in the POVM sets' dim.
 
-    Starts from the maximally mixed state and iterates
-    rho <- N[(1-e+eR) rho (1-e+eR)] until the log-likelihood gain drops
-    below 1e-10 or max_iters is reached.  If a full step ever lowers the
-    likelihood, the dilution is halved for that step (deterministically),
-    which keeps the recorded trace non-decreasing.  Bins with zero model
-    probability but non-zero counts are flagged and floored at 1e-300.
+    One set per setting of data.  Starts from the maximally mixed state
+    and iterates rho <- N[(1-e+eR) rho (1-e+eR)] until the log-likelihood
+    gain drops below 1e-10 or max_iters is reached.  If a full step ever
+    lowers the likelihood, the dilution is halved for that step
+    (deterministically), which keeps the recorded trace non-decreasing.
+    Bins with zero model probability but non-zero counts are flagged and
+    floored at 1e-300.
     """
-    if dim < 1:
-        raise ValueError("dim must be positive")
     if not 0 < epsilon <= 1:
         raise ValueError("epsilon must be in (0, 1]")
     if max_iters < 0:
@@ -222,11 +222,12 @@ def ml_reconstruct(
     if len(povms) != len(data.settings):
         raise ValueError("one POVM set per measurement setting is required")
     for povm, vec in zip(povms, data.counts):
-        if not isinstance(povm, PovmSet) or povm.dim != dim:
-            raise ValueError("POVM sets must match dim")
+        if not isinstance(povm, PovmSet) or povm.dim != povms[0].dim:
+            raise ValueError("POVM sets must share one dim")
         if len(povm.elements) != vec.size:
             raise ValueError("POVM element count does not match the data bins")
-    born = _born_rows(povms, dim)
+    born = _born_rows(povms)
+    dim = povms[0].dim
     counts = np.concatenate(data.counts).astype(float)
     frequencies = counts / counts.sum()
     eye = np.eye(dim, dtype=complex)
@@ -306,7 +307,9 @@ def ambiguity_witness(states, phases, layout: BinLayout) -> float:
     if any(s.dim != dim for s in states):
         raise ValueError("states must share the same dim")
     povms = [build_binned_quadrature_povm(float(theta), layout, dim) for theta in phases]
+    if not povms:  # no setting, so nothing tells the states apart
+        return 0.0
     # Tr((rho_s - rho_0) E_j): a copy of the first state gives exactly 0
     rhos = np.stack([state.entries.ravel() for state in states])
-    shifts = np.real((rhos - rhos[0]) @ _born_rows(povms, dim).T)
+    shifts = np.real((rhos - rhos[0]) @ _born_rows(povms).T)
     return float(np.max(shifts.max(axis=0) - shifts.min(axis=0), initial=0.0))

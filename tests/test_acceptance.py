@@ -177,7 +177,7 @@ def test_criterion_6_maximum_likelihood_loop(capsys):
     povms = [build_binned_quadrature_povm(t, layout, d) for t in phases]
     rho_true = DensityMatrix.pure([1.0, 1.0, 1.0])
     data = simulate_dataset(rho_true, phases, layout, 100_000, seed=42)
-    result = ml_reconstruct(data, povms, d)
+    result = ml_reconstruct(data, povms)
     fid = fidelity(result.estimate, rho_true)
     gains = np.diff(result.log_likelihood_trace)
     min_gain = float(gains.min()) if gains.size else 0.0

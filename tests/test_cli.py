@@ -230,6 +230,15 @@ def test_simulate_reconstruct_warns_when_not_ic(capsys):
     assert 0.0 <= payload["fidelity"] <= 1.0 + 1e-10
 
 
+def test_simulate_reconstruct_accepts_extreme_finite_amplitudes(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        ["simulate-reconstruct", "--state", "fock:0,1@1e200,1e200", "--m", "2", "--seed", "1"],
+    )
+    assert code == 0
+    assert json.loads(out)["fidelity"] >= 0.99
+
+
 def test_simulate_reconstruct_requires_seed():
     with pytest.raises(SystemExit) as err:
         main(["simulate-reconstruct", "--state", "fock:0,1@1,1", "--m", "2"])

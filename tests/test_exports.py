@@ -1,11 +1,22 @@
 import ast
 import importlib
 import sys
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import pytest
 
 import povmrank
+from povmrank import (
+    BinLayout,
+    DensityMatrix,
+    SupportSet,
+    build_binned_quadrature_povm,
+    default_x_max,
+    ml_reconstruct,
+    rank_for,
+    simulate_dataset,
+)
 
 MODULES = ("cli", "completeness", "fock", "povm", "tomo")
 
@@ -44,3 +55,55 @@ def test_runtime_imports_are_stdlib_or_numpy():
                 if top != "numpy" and top not in sys.stdlib_module_names:
                     foreign.add(f"{path.name}: {name}")
     assert sorted(foreign) == []
+
+
+def test_every_dataclass_is_frozen():
+    src = Path(povmrank.__file__).parent
+    seen, thawed = [], []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                if getattr(target, "id", getattr(target, "attr", None)) != "dataclass":
+                    continue
+                seen.append(node.name)
+                keywords = dec.keywords if isinstance(dec, ast.Call) else []
+                if not any(kw.arg == "frozen" and getattr(kw.value, "value", None) is True
+                           for kw in keywords):
+                    thawed.append(f"{path.name}: {node.name}")
+    assert len(seen) >= 9
+    assert thawed == []
+
+
+def _value_objects():
+    layout = BinLayout(default_x_max(2), 3)
+    povm = build_binned_quadrature_povm(0.3, layout, 2)
+    data = simulate_dataset(DensityMatrix.pure([1.0, 1.0j]), [0.3], layout, 500, seed=4)
+    result = ml_reconstruct(data, [povm], max_iters=5)
+    report = rank_for(SupportSet.contiguous(2), 1)
+    # type name -> (object, one of its fields, the array it stores or None)
+    return {
+        "DensityMatrix": (result.estimate, "entries", result.estimate.entries),
+        "PovmSet": (povm, "deficit", povm.elements),
+        "BinLayout": (layout, "n_bins", None),
+        "MeasurementData": (data, "settings", data.counts[0]),
+        "ReconstructionResult": (result, "log_likelihood_trace", None),
+        "RankReport": (report, "singular_values", report.singular_values),
+    }
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["DensityMatrix", "PovmSet", "BinLayout", "MeasurementData", "ReconstructionResult",
+     "RankReport"],
+)
+def test_value_types_are_immutable_after_validation(kind):
+    obj, name, array = _value_objects()[kind]
+    assert type(obj).__name__ == kind
+    with pytest.raises(FrozenInstanceError):
+        setattr(obj, name, getattr(obj, name))
+    if array is not None:
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0

@@ -310,6 +310,23 @@ def test_density_matrix_constructors():
     assert np.real(pure.entries[0, 0]) == pytest.approx(0.36, rel=1e-12)
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-200, 1.7e308, 5e-324])
+def test_pure_normalizes_extreme_finite_amplitudes(scale, recwarn):
+    # |c|^2 overflows or underflows float64 at both ends; the state does not
+    rho = DensityMatrix.pure([scale, scale * 1j])
+    assert np.allclose(rho.entries, [[0.5, -0.5j], [0.5j, 0.5]], rtol=0, atol=1e-15)
+    assert not recwarn.list
+    with pytest.raises(ValueError, match="zero vector"):
+        DensityMatrix.pure([0.0, 0.0])
+
+
+def test_pure_keeps_ordinary_amplitudes_bit_identical():
+    c = np.array([0.3, -1.2j, 2.5 + 0.1j])
+    c = c / np.linalg.norm(c)
+    assert np.array_equal(DensityMatrix.pure([0.3, -1.2j, 2.5 + 0.1j]).entries,
+                          np.outer(c, c.conj()))
+
+
 def test_support_set_validation():
     sup = SupportSet((0, 4, 8))
     assert sup.size == 3

@@ -13,7 +13,6 @@ from povmrank import (
     coherent_amplitudes,
     default_x_max,
     displaced_number_operator,
-    povm_deficit,
     quadrature_bin_operator,
 )
 
@@ -183,13 +182,13 @@ def test_binned_elements_phase_covariance():
         assert np.max(np.abs(e1 - rot @ e0 @ rot.conj().T)) < 1e-10
 
 
-# ----------------------------------------------------------------- povm_deficit
+# ---------------------------------------------------------------------- deficit
 
 
 def test_deficit_full_line_layout():
     dim = 6
     povm = build_binned_quadrature_povm(0.0, BinLayout(default_x_max(dim), 9), dim)
-    assert povm_deficit(povm) < 1e-10
+    assert povm.deficit < 1e-10
 
 
 def test_deficit_of_default_layouts_is_rounding_level():
@@ -201,12 +200,12 @@ def test_deficit_of_default_layouts_is_rounding_level():
 def test_deficit_positive_without_overflow():
     # psi_5 keeps ~0.2 of its mass beyond |x| = 3
     povm = build_binned_quadrature_povm(0.0, BinLayout(3.0, 4, include_overflow=False), 6)
-    assert povm_deficit(povm) > 1e-3
+    assert povm.deficit > 1e-3
 
 
 def test_deficit_of_identity_element():
     povm = PovmSet(dim=3, elements=[np.eye(3, dtype=complex)])
-    assert povm_deficit(povm) == 0.0
+    assert povm.deficit == 0.0
 
 
 # ---------------------------------------------------------------------- PovmSet
@@ -234,10 +233,29 @@ def test_povm_set_rejects_negative_element():
     ],
 )
 def test_povm_set_rejects_one_bad_element_in_a_batch(bad, message):
-    good = build_binned_quadrature_povm(0.2, BinLayout(default_x_max(2), 3), 2).elements
+    good = list(build_binned_quadrature_povm(0.2, BinLayout(default_x_max(2), 3), 2).elements)
     for at in (0, 2, len(good)):
         with pytest.raises(ValueError, match=message):
             PovmSet(dim=2, elements=good[:at] + [bad] + good[at:])
+
+
+def test_povm_set_deficit_is_always_computed():
+    elements = [np.diag([1.0, 0.0]).astype(complex)]
+    with pytest.raises(TypeError):
+        PovmSet(dim=2, elements=elements, deficit=0.0)
+    povm = PovmSet(dim=2, elements=elements)
+    assert povm.deficit == 1.0
+    stored = povm.to_json_dict() | {"deficit": 0.0}
+    assert PovmSet.from_json_dict(stored).deficit == 1.0
+
+
+def test_povm_set_stores_one_read_only_copy():
+    source = np.stack([0.5 * np.eye(2, dtype=complex)] * 2)
+    povm = PovmSet(dim=2, elements=source)
+    source[0] = 0.0  # the caller's array stays writeable and is not shared
+    assert povm.elements.shape == (2, 2, 2)
+    assert not povm.elements.flags.writeable
+    assert povm.deficit == 0.0
 
 
 def test_povm_set_json_roundtrip_bit_exact():

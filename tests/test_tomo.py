@@ -185,7 +185,7 @@ def test_ml_recovers_state_from_ic_settings():
     phases, layout, povms = _ic_setup(dim)
     rho_true = DensityMatrix.pure([1.0, 1.0, 1.0])
     data = simulate_dataset(rho_true, phases, layout, 100_000, seed=42)
-    result = ml_reconstruct(data, povms, dim)
+    result = ml_reconstruct(data, povms)
     assert fidelity(result.estimate, rho_true) >= 0.99
     gains = np.diff(result.log_likelihood_trace)
     assert np.min(gains) > -1e-10
@@ -199,7 +199,7 @@ def test_ml_single_quadrature_pins_populations_only():
     povm = build_binned_quadrature_povm(0.0, layout, dim)
     rho_true = DensityMatrix(np.diag([0.7, 0.3]).astype(complex))
     data = simulate_dataset(rho_true, [0.0], layout, 100_000, seed=7)
-    result = ml_reconstruct(data, [povm], dim)
+    result = ml_reconstruct(data, [povm])
     est_diag = np.real(np.diag(result.estimate.entries))
     assert np.max(np.abs(est_diag - [0.7, 0.3])) < 0.02
 
@@ -229,7 +229,7 @@ def test_ml_estimate_satisfies_state_invariants():
     phases, layout, povms = _ic_setup(dim)
     rho_true = DensityMatrix.maximally_mixed(dim)
     data = simulate_dataset(rho_true, phases, layout, 20_000, seed=13)
-    result = ml_reconstruct(data, povms, dim, max_iters=400)
+    result = ml_reconstruct(data, povms, max_iters=400)
     est = result.estimate.entries
     assert np.max(np.abs(est - est.conj().T)) < 1e-12
     assert abs(np.trace(est) - 1.0) < 1e-12
@@ -246,7 +246,7 @@ def test_ml_fidelity_improves_with_sample_size():
         fids = []
         for seed in (1, 2, 3, 4, 5):
             data = simulate_dataset(rho_true, phases, layout, n, seed=seed)
-            result = ml_reconstruct(data, povms, dim)
+            result = ml_reconstruct(data, povms)
             fids.append(fidelity(result.estimate, rho_true))
         medians.append(float(np.median(fids)))
     assert medians[0] <= medians[1] <= medians[2]
@@ -261,7 +261,7 @@ def test_ml_flags_singular_bins():
         settings=[(0.0, layout)], counts=[[5, 95]], total_per_setting=100, seed=1
     )
     with pytest.warns(RuntimeWarning, match="floored"):
-        result = ml_reconstruct(data, [povm], dim, max_iters=50)
+        result = ml_reconstruct(data, [povm], max_iters=50)
     assert result.singular_data
     assert json.loads(json.dumps(result.to_json_dict()))["singular_data"] is True
 
@@ -272,9 +272,15 @@ def test_ml_rejects_mismatched_inputs():
     rho = DensityMatrix.maximally_mixed(dim)
     data = simulate_dataset(rho, phases, layout, 100, seed=2)
     with pytest.raises(ValueError, match="setting"):
-        ml_reconstruct(data, povms[:2], dim)
+        ml_reconstruct(data, povms[:2])
     with pytest.raises(ValueError, match="epsilon"):
-        ml_reconstruct(data, povms, dim, epsilon=0.0)
+        ml_reconstruct(data, povms, epsilon=0.0)
+    # 2*3+1 elements at dim 2: the bin count matches, the dim does not
+    other = build_binned_quadrature_povm(0.0, BinLayout(default_x_max(2), 2 * dim - 1), 2)
+    with pytest.raises(ValueError, match="share one dim"):
+        ml_reconstruct(data, [other] + povms[1:])
+    with pytest.raises(TypeError):
+        ml_reconstruct(data, povms, dim)  # the dim comes from the sets
 
 
 def test_reconstruction_result_json():
@@ -283,7 +289,7 @@ def test_reconstruction_result_json():
     povm = build_binned_quadrature_povm(0.0, layout, dim)
     rho = DensityMatrix.pure([1.0, 1.0])
     data = simulate_dataset(rho, [0.0], layout, 5000, seed=8)
-    result = ml_reconstruct(data, [povm], dim, max_iters=50)
+    result = ml_reconstruct(data, [povm], max_iters=50)
     payload = json.loads(json.dumps(result.to_json_dict()))
     assert payload["iterations"] == result.iterations
     assert payload["final_loglik"] == result.log_likelihood_trace[-1]
