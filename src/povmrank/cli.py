@@ -134,16 +134,14 @@ def _cmd_rank(args, parser) -> int:
 def _cmd_simulate_reconstruct(args, parser) -> int:
     try:
         rho_true = parse_state_spec(args.state, args.d)
+        dim = rho_true.dim
+        phases = args.phases or default_phases(SupportSet.contiguous(dim), args.m)
+        n_bins = args.bins if args.bins is not None else 2 * dim - 1
+        layout = BinLayout(x_max=default_x_max(dim), n_bins=n_bins, include_overflow=True)
+        # checks the seed before any draw
+        data = simulate_dataset(rho_true, phases, layout, args.samples, args.seed)
     except ValueError as exc:
         parser.error(str(exc))
-    if not 0 < args.epsilon <= 1:
-        parser.error("--epsilon must lie in (0, 1]")
-    if not 0 <= args.seed < 2**64:
-        parser.error("--seed must be a 64-bit non-negative integer")
-    dim = rho_true.dim
-    phases = args.phases or default_phases(SupportSet.contiguous(dim), args.m)
-    n_bins = args.bins if args.bins is not None else 2 * dim - 1
-    layout = BinLayout(x_max=default_x_max(dim), n_bins=n_bins, include_overflow=True)
     povms = [build_binned_quadrature_povm(theta, layout, dim) for theta in phases]
     span = povm_span_rank(povms)
     if span.numerical_rank < dim * dim:
@@ -151,8 +149,7 @@ def _cmd_simulate_reconstruct(args, parser) -> int:
             f"warning: measurement not IC: rank {span.numerical_rank} < {dim * dim}",
             file=sys.stderr,
         )
-    data = simulate_dataset(rho_true, phases, layout, args.samples, args.seed)
-    result = ml_reconstruct(data, povms, max_iters=args.max_iters, epsilon=args.epsilon)
+    result = ml_reconstruct(data, povms, max_iters=args.max_iters)
     payload = result.to_json_dict()
     payload["fidelity"] = fidelity(result.estimate, rho_true)
     _write_output(json.dumps(payload), args.out)
@@ -202,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--samples", type=_positive_int, default=100_000)
     p_sim.add_argument("--seed", type=int, required=True)
     p_sim.add_argument("--max-iters", type=_positive_int, default=5000)
-    p_sim.add_argument("--epsilon", type=float, default=0.5)
     p_sim.add_argument("--out", default=None)
     p_sim.set_defaults(func=_cmd_simulate_reconstruct)
 

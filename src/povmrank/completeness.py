@@ -95,7 +95,7 @@ class MeasurementSpec:
         object.__setattr__(self, "phases", phases)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RankReport:
     """Numerical rank with its spectral certificate (read-only singular values).
 

@@ -33,7 +33,7 @@ TRACE_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite read-only Fock-basis matrix."""
 

@@ -91,7 +91,7 @@ def quadrature_bin_operator(theta: float, a, b, dim: int) -> np.ndarray:
     return bins.reshape(a.shape + (dim, dim)) * np.outer(phase, phase.conj())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PovmSet:
     """POVM elements on a dim-level subspace plus a completeness certificate.
 

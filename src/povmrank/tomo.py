@@ -4,8 +4,9 @@ Informationally complete settings must recover the state operationally;
 incomplete ones must leave the corresponding ambiguities visible.  One Born
 map rho -> Tr(rho E_j) gives every bin probability: simulated counts are
 multinomial draws from it (sample_homodyne and bin_samples are for raw
-samples), and the estimator is the diluted fixed-point iteration
-rho <- N[(1-e+eR) rho (1-e+eR)] with R(rho) = sum_j (f_j / p_j(rho)) E_j.
+samples), and the estimator is the diluted R-rho-R iteration of Rehacek et al.,
+PRA 75, 042108 (2007): rho <- N[(1-e+eR) rho (1-e+eR)] with
+R(rho) = sum_j (f_j / p_j(rho)) E_j and the constant dilution e = 1/2.
 """
 
 from __future__ import annotations
@@ -34,9 +35,10 @@ SAMPLING_GRID_POINTS = 4096
 LOGLIK_GAIN_TOL = 1e-10
 PROBABILITY_FLOOR = 1e-300
 MAX_SEED = 2**64
+DILUTION = 0.5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementData:
     """Per-setting, per-bin event counts with sampling provenance."""
 
@@ -57,7 +59,10 @@ class MeasurementData:
         for (phase, layout), vec in zip(self.settings, self.counts):
             if not isinstance(layout, BinLayout):
                 raise TypeError("each setting needs a BinLayout")
-            arr = np.array(vec, dtype=np.int64)
+            arr = np.asarray(vec)  # NaN and inf fail the bound, so the cast never sees them
+            if not (np.all(np.abs(arr) < 2.0**63) and np.array_equal(arr.astype(np.int64), arr)):
+                raise ValueError("counts must be whole numbers")
+            arr = arr.astype(np.int64)
             if arr.size != layout.n_elements:
                 raise ValueError("count vector length does not match the layout")
             if np.any(arr < 0):
@@ -99,7 +104,6 @@ class ReconstructionResult:
 
     estimate: DensityMatrix
     log_likelihood_trace: tuple
-    iterations: int
     converged: bool
     singular_data: bool = False
 
@@ -112,6 +116,10 @@ class ReconstructionResult:
         if any(b - a < -LOGLIK_GAIN_TOL for a, b in zip(trace, trace[1:])):
             raise ValueError("log-likelihood trace decreased beyond tolerance")
         object.__setattr__(self, "log_likelihood_trace", trace)
+
+    @property
+    def iterations(self) -> int:
+        return len(self.log_likelihood_trace) - 1
 
     def to_json_dict(self) -> dict:
         return {
@@ -192,31 +200,18 @@ def simulate_dataset(
     )
 
 
-def _log_likelihood(counts: np.ndarray, probs: np.ndarray) -> float:
-    mask = counts > 0
-    terms = counts[mask] * np.log(probs[mask])
-    return math.fsum(terms.tolist())
-
-
 def ml_reconstruct(
-    data: MeasurementData,
-    povms: list,
-    *,
-    max_iters: int = 5000,
-    epsilon: float = 0.5,
+    data: MeasurementData, povms: list, *, max_iters: int = 5000
 ) -> ReconstructionResult:
     """Diluted R-rho-R maximum-likelihood reconstruction in the POVM sets' dim.
 
-    One set per setting of data.  Starts from the maximally mixed state
-    and iterates rho <- N[(1-e+eR) rho (1-e+eR)] until the log-likelihood
-    gain drops below 1e-10 or max_iters is reached.  If a full step ever
-    lowers the likelihood, the dilution is halved for that step
-    (deterministically), which keeps the recorded trace non-decreasing.
-    Bins with zero model probability but non-zero counts are flagged and
-    floored at 1e-300.
+    One set per setting of data.  Starts from the maximally mixed state and
+    iterates with e = DILUTION until the log-likelihood sum_j n_j log p_j
+    over the observed bins (n_j > 0) gains less than 1e-10 or max_iters is
+    reached.  A step that would lower it halves e (deterministically), so
+    the trace never decreases.  p is floored at 1e-300; an observed bin at
+    the floor sets singular_data and warns.
     """
-    if not 0 < epsilon <= 1:
-        raise ValueError("epsilon must be in (0, 1]")
     if max_iters < 0:
         raise ValueError("max_iters must be non-negative")
     if len(povms) != len(data.settings):
@@ -230,44 +225,45 @@ def ml_reconstruct(
     dim = povms[0].dim
     counts = np.concatenate(data.counts).astype(float)
     frequencies = counts / counts.sum()
+    seen = np.flatnonzero(counts)
+    seen_counts = counts[seen]
     eye = np.eye(dim, dtype=complex)
 
-    singular = False
-
-    def probs(rho):
-        nonlocal singular
-        p = np.real(born @ rho.ravel())
-        singular |= bool(np.any((p <= PROBABILITY_FLOOR) & (counts > 0)))
-        return np.clip(p, PROBABILITY_FLOOR, None)
+    def likelihood(rho):
+        # floored p for all bins (R divides by it); loglik and min p over seen
+        p = np.maximum(np.real(born @ rho.ravel()), PROBABILITY_FLOOR)
+        p_seen = p[seen]
+        return p, math.fsum((seen_counts * np.log(p_seen)).tolist()), p_seen.min()
 
     rho = eye / dim
-    p = probs(rho)
-    trace = [_log_likelihood(counts, p)]
+    p, loglik, lowest = likelihood(rho)
+    trace = [loglik]
     converged = False
 
     for _ in range(max_iters):
         r_op = ((frequencies / p) @ born).conj().reshape(dim, dim)
         r_op = 0.5 * (r_op + r_op.conj().T)
-        step = epsilon
+        step = DILUTION
         for _ in range(40):
             grow = (1.0 - step) * eye + step * r_op
             cand = grow @ rho @ grow
             cand = 0.5 * (cand + cand.conj().T)
             cand /= np.trace(cand).real
-            p_cand = probs(cand)
-            ll_cand = _log_likelihood(counts, p_cand)
-            if ll_cand >= trace[-1]:
+            p_cand, loglik, p_low = likelihood(cand)
+            lowest = min(lowest, p_low)
+            if loglik >= trace[-1]:
                 break
             step *= 0.5
         else:  # no dilution raised the likelihood
             converged = True
             break
         rho, p = cand, p_cand
-        trace.append(ll_cand)
+        trace.append(loglik)
         if trace[-1] - trace[-2] < LOGLIK_GAIN_TOL:
             converged = True
             break
 
+    singular = bool(lowest <= PROBABILITY_FLOOR)
     if singular:
         warnings.warn(
             "zero-probability bins held non-zero counts; likelihood floored at 1e-300",
@@ -276,7 +272,6 @@ def ml_reconstruct(
     return ReconstructionResult(
         estimate=DensityMatrix(rho),
         log_likelihood_trace=trace,
-        iterations=len(trace) - 1,
         converged=converged,
         singular_data=singular,
     )

@@ -139,19 +139,24 @@ def test_rank_requires_exactly_one_support_spec():
     assert err.value.code == 2
 
 
-@pytest.mark.parametrize("command", [
-    ["table", "--d-max", "3", "--m-max", "2"],
-    ["rank", "--d", "3", "--m", "2"],
-    ["simulate-reconstruct", "--state", "fock:0,1@1,1", "--m", "2", "--seed", "1"],
-])
-def test_rank_threshold_is_not_a_cli_option(capsys, command):
-    with pytest.raises(SystemExit) as err:
-        main(command + ["--tol", "-1"])
-    assert err.value.code == 2
-    assert "unrecognized arguments: --tol" in capsys.readouterr().err
-
-
 SIM = ["simulate-reconstruct", "--state", "fock:0,1@1,1", "--seed", "1"]
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        (["table", "--d-max", "3", "--m-max", "2"], ["--tol", "-1"]),
+        (["rank", "--d", "3", "--m", "2"], ["--tol", "-1"]),
+        (SIM + ["--m", "2"], ["--tol", "-1"]),
+        (SIM + ["--m", "2"], ["--epsilon", "0.5"]),
+    ],
+    ids=["table-tol", "rank-tol", "simulate-tol", "simulate-epsilon"],
+)
+def test_numerical_knobs_are_not_cli_options(capsys, command, option):
+    with pytest.raises(SystemExit) as err:
+        main(command + option)
+    assert err.value.code == 2
+    assert f"unrecognized arguments: {option[0]}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -243,6 +248,16 @@ def test_simulate_reconstruct_requires_seed():
     with pytest.raises(SystemExit) as err:
         main(["simulate-reconstruct", "--state", "fock:0,1@1,1", "--m", "2"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_simulate_reconstruct_rejects_out_of_range_seed(capsys, seed):
+    with pytest.raises(SystemExit) as err:
+        main(["simulate-reconstruct", "--state", "fock:0,1@1,1", "--m", "2", "--seed", seed])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: seed must be a 64-bit non-negative integer" in captured.err
 
 
 def test_simulate_reconstruct_is_deterministic(capsys, tmp_path):

@@ -107,3 +107,15 @@ def test_value_types_are_immutable_after_validation(kind):
     if array is not None:
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
+
+
+@pytest.mark.parametrize(
+    "kind, equal",
+    [("DensityMatrix", False), ("PovmSet", False), ("MeasurementData", False),
+     ("RankReport", False), ("BinLayout", True)],
+)
+def test_array_holding_values_compare_by_identity(kind, equal):
+    obj = _value_objects()[kind][0]
+    rebuilt = _value_objects()[kind][0]  # same inputs, distinct instance
+    assert obj == obj
+    assert (obj == rebuilt) is equal

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -108,6 +109,25 @@ def test_measurement_data_validation():
         MeasurementData(
             settings=[(0.0, layout)], counts=[[2, 3]], total_per_setting=5, seed=1
         )
+
+
+def test_measurement_data_rejects_counts_that_are_not_whole():
+    layout = BinLayout(2.0, 2)
+    data = MeasurementData(
+        settings=[(0.0, layout)], counts=[[1.0, 1.0, 0.0, 0.0]], total_per_setting=2, seed=1
+    )
+    assert data.counts[0].tolist() == [1, 1, 0, 0]
+    payload = data.to_json_dict()
+    nan, inf = float("nan"), float("inf")
+    for bad in ([1.9, 1.9, 0.9, 0.9], [nan, 2, 0, 0], [inf, 2, 0, 0], [1e30, 2, 0, 0]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no cast warning on the way to the error
+            with pytest.raises(ValueError, match="counts must be whole numbers"):
+                MeasurementData(
+                    settings=[(0.0, layout)], counts=[bad], total_per_setting=2, seed=1
+                )
+            with pytest.raises(ValueError, match="counts must be whole numbers"):
+                MeasurementData.from_json_dict({**payload, "counts": [bad]})
 
 
 def test_measurement_data_json_roundtrip():
@@ -266,6 +286,35 @@ def test_ml_flags_singular_bins():
     assert json.loads(json.dumps(result.to_json_dict()))["singular_data"] is True
 
 
+def test_ml_zero_probability_bin_without_counts_is_not_singular():
+    dim = 2
+    layout = BinLayout(1.0, 2, include_overflow=False)
+    zero = np.zeros((dim, dim), dtype=complex)
+    povm = PovmSet(dim=dim, elements=[zero, np.eye(dim, dtype=complex)])
+    data = MeasurementData(
+        settings=[(0.0, layout)], counts=[[0, 100]], total_per_setting=100, seed=1
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = ml_reconstruct(data, [povm], max_iters=50)
+    assert not result.singular_data
+    assert result.log_likelihood_trace[-1] == 0.0  # 100 log Tr(rho I)
+
+
+def test_ml_final_loglik_sums_the_observed_bins():
+    dim = 3
+    phases, layout, povms = _ic_setup(dim)
+    data = simulate_dataset(DensityMatrix.pure([1.0, 0.0, 0.0]), phases, layout, 300, seed=9)
+    counts = np.concatenate(data.counts)
+    assert np.any(counts == 0)
+    result = ml_reconstruct(data, povms, max_iters=200)
+    ops = np.concatenate([povm.elements for povm in povms])
+    p = np.real(np.einsum("kl,jlk->j", result.estimate.entries, ops))
+    seen = counts > 0
+    expected = math.fsum((counts[seen] * np.log(p[seen])).tolist())
+    assert result.log_likelihood_trace[-1] == pytest.approx(expected, rel=1e-12)
+
+
 def test_ml_rejects_mismatched_inputs():
     dim = 3
     phases, layout, povms = _ic_setup(dim)
@@ -273,8 +322,8 @@ def test_ml_rejects_mismatched_inputs():
     data = simulate_dataset(rho, phases, layout, 100, seed=2)
     with pytest.raises(ValueError, match="setting"):
         ml_reconstruct(data, povms[:2])
-    with pytest.raises(ValueError, match="epsilon"):
-        ml_reconstruct(data, povms, epsilon=0.0)
+    with pytest.raises(TypeError):
+        ml_reconstruct(data, povms, epsilon=0.5)  # the dilution is a constant
     # 2*3+1 elements at dim 2: the bin count matches, the dim does not
     other = build_binned_quadrature_povm(0.0, BinLayout(default_x_max(2), 2 * dim - 1), 2)
     with pytest.raises(ValueError, match="share one dim"):
