@@ -24,7 +24,6 @@ from .fock import (
     DensityMatrix,
     SupportSet,
     coherent_amplitudes,
-    hermite_function,
     hermite_function_table,
     hermitian_to_real_vector,
     homodyne_pdf_grid,
@@ -40,6 +39,7 @@ from .povm import (
     quadrature_bin_operator,
 )
 from .tomo import (
+    BinnedHomodyne,
     MeasurementData,
     ReconstructionResult,
     ambiguity_witness,
@@ -54,6 +54,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BinLayout",
+    "BinnedHomodyne",
     "DensityMatrix",
     "MeasurementData",
     "MeasurementSpec",
@@ -72,7 +73,6 @@ __all__ = [
     "displaced_counting_rank",
     "displaced_number_operator",
     "fidelity",
-    "hermite_function",
     "hermite_function_table",
     "hermitian_to_real_vector",
     "homodyne_pdf_grid",

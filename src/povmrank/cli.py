@@ -20,7 +20,7 @@ import numpy as np
 
 from .completeness import default_phases, povm_span_rank, predicted_rank, rank_for, sweep_table
 from .fock import DensityMatrix, SupportSet, coherent_amplitudes
-from .povm import BinLayout, build_binned_quadrature_povm, default_x_max
+from .povm import BinLayout, default_x_max
 from .tomo import fidelity, ml_reconstruct, simulate_dataset
 
 __all__ = ["main", "build_parser", "parse_state_spec"]
@@ -142,14 +142,13 @@ def _cmd_simulate_reconstruct(args, parser) -> int:
         data = simulate_dataset(rho_true, phases, layout, args.samples, args.seed)
     except ValueError as exc:
         parser.error(str(exc))
-    povms = [build_binned_quadrature_povm(theta, layout, dim) for theta in phases]
-    span = povm_span_rank(povms)
+    span = povm_span_rank(data.measurement.povms)
     if span.numerical_rank < dim * dim:
         print(
             f"warning: measurement not IC: rank {span.numerical_rank} < {dim * dim}",
             file=sys.stderr,
         )
-    result = ml_reconstruct(data, povms, max_iters=args.max_iters)
+    result = ml_reconstruct(data, max_iters=args.max_iters)
     payload = result.to_json_dict()
     payload["fidelity"] = fidelity(result.estimate, rho_true)
     _write_output(json.dumps(payload), args.out)

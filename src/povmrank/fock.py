@@ -19,7 +19,6 @@ __all__ = [
     "EIGENVALUE_FLOOR",
     "DensityMatrix",
     "SupportSet",
-    "hermite_function",
     "hermite_function_table",
     "homodyne_pdf_grid",
     "coherent_amplitudes",
@@ -172,22 +171,6 @@ def _hermite_rows(n_max: int, xa: np.ndarray):
         p_prev, p = p, math.sqrt(2.0 / (k + 1)) * xa * p - math.sqrt(k / (k + 1)) * p_prev
         p_prev, p, exponent = _band_rescale(p_prev, p, exponent)
         yield p, exponent
-
-
-def hermite_function(n: int, x):
-    """Normalized oscillator wavefunction psi_n(x).
-
-    Runs the recurrence of hermite_function_table keeping only the current
-    rows, so memory does not grow with n.  Accepts a scalar or an ndarray
-    of positions.
-    """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    xa = np.asarray(x, dtype=float)
-    for p, exponent in _hermite_rows(n, np.atleast_1d(xa)):
-        pass
-    out = np.ldexp(p, exponent)
-    return float(out[0]) if xa.ndim == 0 else out
 
 
 def hermite_function_table(n_max: int, x) -> np.ndarray:

@@ -13,14 +13,15 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .fock import DensityMatrix, homodyne_pdf_grid
-from .povm import BinLayout, PovmSet, build_binned_quadrature_povm, default_x_max
+from .povm import BinLayout, build_binned_quadrature_povm, default_x_max
 
 __all__ = [
+    "BinnedHomodyne",
     "MeasurementData",
     "ReconstructionResult",
     "sample_homodyne",
@@ -39,59 +40,83 @@ DILUTION = 0.5
 
 
 @dataclass(frozen=True, eq=False)
-class MeasurementData:
-    """Per-setting, per-bin event counts with sampling provenance."""
+class BinnedHomodyne:
+    """Binned homodyne on dim levels, one layout at every phase, with the one
+    POVM set per phase that ``povms`` always builds from them."""
 
-    settings: tuple  # of (phase, BinLayout)
-    counts: tuple  # of read-only int64 vectors, aligned with the settings
+    phases: tuple
+    layout: BinLayout
+    dim: int
+    povms: tuple = field(init=False)
+
+    def __post_init__(self):
+        phases = tuple(float(p) for p in self.phases)
+        if not phases:
+            raise ValueError("at least one phase is required")
+        if not isinstance(self.layout, BinLayout):
+            raise TypeError("layout must be a BinLayout")
+        povms = tuple(build_binned_quadrature_povm(t, self.layout, self.dim) for t in phases)
+        object.__setattr__(self, "phases", phases)
+        object.__setattr__(self, "povms", povms)
+
+
+@dataclass(frozen=True, eq=False)
+class MeasurementData:
+    """Per-setting, per-bin event counts drawn from one measurement, with
+    sampling provenance; the estimator reads the POVM sets from it."""
+
+    measurement: BinnedHomodyne
+    counts: tuple  # of read-only int64 vectors, one per POVM set of the measurement
     total_per_setting: int
     seed: int
 
     def __post_init__(self):
+        if not isinstance(self.measurement, BinnedHomodyne):
+            raise TypeError("measurement must be a BinnedHomodyne")
         if self.total_per_setting < 1:
             raise ValueError("total_per_setting must be positive")
         if not 0 <= self.seed < MAX_SEED:
             raise ValueError("seed must be a 64-bit non-negative integer")
-        if len(self.settings) != len(self.counts) or not self.settings:
-            raise ValueError("settings and counts must align and be non-empty")
-        settings = []
+        if len(self.counts) != len(self.measurement.povms):
+            raise ValueError("one count vector per setting is required")
         counts = []
-        for (phase, layout), vec in zip(self.settings, self.counts):
-            if not isinstance(layout, BinLayout):
-                raise TypeError("each setting needs a BinLayout")
+        for povm, vec in zip(self.measurement.povms, self.counts):
             arr = np.asarray(vec)  # NaN and inf fail the bound, so the cast never sees them
             if not (np.all(np.abs(arr) < 2.0**63) and np.array_equal(arr.astype(np.int64), arr)):
                 raise ValueError("counts must be whole numbers")
             arr = arr.astype(np.int64)
-            if arr.size != layout.n_elements:
-                raise ValueError("count vector length does not match the layout")
+            if arr.size != len(povm.elements):
+                raise ValueError("count vector length does not match the POVM set")
             if np.any(arr < 0):
                 raise ValueError("counts must be non-negative")
             if int(arr.sum()) != self.total_per_setting:
                 raise ValueError("per-setting counts must sum to total_per_setting")
             arr.flags.writeable = False
-            settings.append((float(phase), layout))
             counts.append(arr)
-        object.__setattr__(self, "settings", tuple(settings))
         object.__setattr__(self, "counts", tuple(counts))
+
+    @property
+    def settings(self) -> tuple:
+        return tuple((theta, self.measurement.layout) for theta in self.measurement.phases)
 
     def to_json_dict(self) -> dict:
         return {
-            "settings": [phase for phase, _ in self.settings],
-            "layouts": [layout.to_json_dict() for _, layout in self.settings],
+            "settings": list(self.measurement.phases),
+            "layouts": [self.measurement.layout.to_json_dict() for _ in self.counts],
             "counts": [[int(c) for c in vec] for vec in self.counts],
             "seed": self.seed,
-            "totals": [self.total_per_setting] * len(self.settings),
+            "totals": [self.total_per_setting] * len(self.counts),
+            "dim": self.measurement.dim,
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MeasurementData":
         totals = set(int(t) for t in data["totals"])
-        if len(totals) != 1:
-            raise ValueError("totals must be uniform across settings")
-        layouts = [BinLayout.from_json_dict(d) for d in data["layouts"]]
+        layouts = set(BinLayout.from_json_dict(d) for d in data["layouts"])
+        if len(totals) != 1 or len(layouts) != 1:
+            raise ValueError("totals and layouts must be uniform across settings")
         return cls(
-            settings=tuple(zip(data["settings"], layouts)),
+            measurement=BinnedHomodyne(data["settings"], layouts.pop(), int(data["dim"])),
             counts=data["counts"],
             total_per_setting=totals.pop(),
             seed=int(data["seed"]),
@@ -154,10 +179,12 @@ def sample_homodyne(rho: DensityMatrix, theta: float, n_samples: int, seed: int)
 def bin_samples(samples, layout: BinLayout) -> np.ndarray:
     """Counts per bin, ordered like the layout's intervals.
 
-    With overflow bins the two tails are captured and the counts always sum
-    to the sample count; without them, outliers are dropped.
+    NaN is rejected.  With overflow bins the tails (+-inf too) are captured and
+    the counts always sum to the sample count; without them, outliers are dropped.
     """
     samples = np.asarray(samples, dtype=float)
+    if np.isnan(samples).any():
+        raise ValueError("samples must not be NaN")
     edges = layout.edges()
     inner, _ = np.histogram(samples, bins=edges)
     if not layout.include_overflow:
@@ -182,47 +209,37 @@ def simulate_dataset(
     outside the layout (possible only without overflow bins) are dropped.
     """
     if total_per_setting < 1:
-        raise ValueError("n_samples must be positive")
+        raise ValueError("total_per_setting must be positive")
     if not 0 <= seed < MAX_SEED:
         raise ValueError("seed must be a 64-bit non-negative integer")
-    phases = [float(p) for p in phases]
-    povms = [build_binned_quadrature_povm(theta, layout, rho.dim) for theta in phases]
-    probs = np.clip(np.real(_born_rows(povms) @ rho.entries.ravel()), 0.0, None)
+    measurement = BinnedHomodyne(phases, layout, rho.dim)
+    probs = np.clip(np.real(_born_rows(measurement.povms) @ rho.entries.ravel()), 0.0, None)
     counts = []
-    for i, p in enumerate(probs.reshape(len(phases), layout.n_elements)):
+    for i, p in enumerate(probs.reshape(len(measurement.phases), layout.n_elements)):
         outcomes = np.append(p, max(0.0, 1.0 - p.sum()))  # last: mass outside the layout
         counts.append(np.random.default_rng(seed ^ i).multinomial(total_per_setting, outcomes)[:-1])
     return MeasurementData(
-        settings=[(theta, layout) for theta in phases],
+        measurement=measurement,
         counts=counts,
         total_per_setting=total_per_setting,
         seed=seed,
     )
 
 
-def ml_reconstruct(
-    data: MeasurementData, povms: list, *, max_iters: int = 5000
-) -> ReconstructionResult:
-    """Diluted R-rho-R maximum-likelihood reconstruction in the POVM sets' dim.
+def ml_reconstruct(data: MeasurementData, *, max_iters: int = 5000) -> ReconstructionResult:
+    """Diluted R-rho-R maximum-likelihood estimate on the POVM sets data carries.
 
-    One set per setting of data.  Starts from the maximally mixed state and
-    iterates with e = DILUTION until the log-likelihood sum_j n_j log p_j
-    over the observed bins (n_j > 0) gains less than 1e-10 or max_iters is
-    reached.  A step that would lower it halves e (deterministically), so
-    the trace never decreases.  p is floored at 1e-300; an observed bin at
-    the floor sets singular_data and warns.
+    Starts from the maximally mixed state and iterates with e = DILUTION
+    until the log-likelihood sum_j n_j log p_j over the observed bins
+    (n_j > 0) gains less than 1e-10 or max_iters is reached.  A step that
+    would lower it halves e (deterministically), so the trace never
+    decreases.  p is floored at 1e-300; an observed bin at the floor sets
+    singular_data and warns.
     """
     if max_iters < 0:
         raise ValueError("max_iters must be non-negative")
-    if len(povms) != len(data.settings):
-        raise ValueError("one POVM set per measurement setting is required")
-    for povm, vec in zip(povms, data.counts):
-        if not isinstance(povm, PovmSet) or povm.dim != povms[0].dim:
-            raise ValueError("POVM sets must share one dim")
-        if len(povm.elements) != vec.size:
-            raise ValueError("POVM element count does not match the data bins")
-    born = _born_rows(povms)
-    dim = povms[0].dim
+    born = _born_rows(data.measurement.povms)
+    dim = data.measurement.dim
     counts = np.concatenate(data.counts).astype(float)
     frequencies = counts / counts.sum()
     seen = np.flatnonzero(counts)
@@ -301,10 +318,11 @@ def ambiguity_witness(states, phases, layout: BinLayout) -> float:
     dim = states[0].dim
     if any(s.dim != dim for s in states):
         raise ValueError("states must share the same dim")
-    povms = [build_binned_quadrature_povm(float(theta), layout, dim) for theta in phases]
-    if not povms:  # no setting, so nothing tells the states apart
+    phases = tuple(phases)
+    if not phases:  # no setting, so nothing tells the states apart
         return 0.0
+    born = _born_rows(BinnedHomodyne(phases, layout, dim).povms)
     # Tr((rho_s - rho_0) E_j): a copy of the first state gives exactly 0
     rhos = np.stack([state.entries.ravel() for state in states])
-    shifts = np.real((rhos - rhos[0]) @ _born_rows(povms).T)
+    shifts = np.real((rhos - rhos[0]) @ born.T)
     return float(np.max(shifts.max(axis=0) - shifts.min(axis=0), initial=0.0))

@@ -174,10 +174,9 @@ def test_criterion_6_maximum_likelihood_loop(capsys):
     d = 3
     phases = [j * math.pi / d for j in range(d)]
     layout = BinLayout(default_x_max(d), 2 * d - 1, include_overflow=True)
-    povms = [build_binned_quadrature_povm(t, layout, d) for t in phases]
     rho_true = DensityMatrix.pure([1.0, 1.0, 1.0])
     data = simulate_dataset(rho_true, phases, layout, 100_000, seed=42)
-    result = ml_reconstruct(data, povms)
+    result = ml_reconstruct(data)
     fid = fidelity(result.estimate, rho_true)
     gains = np.diff(result.log_likelihood_trace)
     min_gain = float(gains.min()) if gains.size else 0.0

@@ -235,6 +235,29 @@ def test_simulate_reconstruct_warns_when_not_ic(capsys):
     assert 0.0 <= payload["fidelity"] <= 1.0 + 1e-10
 
 
+@pytest.mark.parametrize("m", [1, 3])
+def test_simulate_reconstruct_builds_each_povm_set_once(capsys, monkeypatch, m):
+    original = povmrank.povm.build_binned_quadrature_povm
+    builds = []
+
+    def counting(*args, **kwargs):
+        builds.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "povmrank" or name.startswith("povmrank."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    code, _, _ = run_cli(
+        capsys,
+        ["simulate-reconstruct", "--state", "coherent:0.7@3", "--m", str(m),
+         "--samples", "500", "--seed", "3", "--max-iters", "5"],
+    )
+    assert code == 0
+    assert len(builds) == m
+
+
 def test_simulate_reconstruct_accepts_extreme_finite_amplitudes(capsys):
     code, out, _ = run_cli(
         capsys,

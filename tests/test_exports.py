@@ -81,14 +81,16 @@ def _value_objects():
     layout = BinLayout(default_x_max(2), 3)
     povm = build_binned_quadrature_povm(0.3, layout, 2)
     data = simulate_dataset(DensityMatrix.pure([1.0, 1.0j]), [0.3], layout, 500, seed=4)
-    result = ml_reconstruct(data, [povm], max_iters=5)
+    result = ml_reconstruct(data, max_iters=5)
+    measurement = data.measurement
     report = rank_for(SupportSet.contiguous(2), 1)
     # type name -> (object, one of its fields, the array it stores or None)
     return {
         "DensityMatrix": (result.estimate, "entries", result.estimate.entries),
         "PovmSet": (povm, "deficit", povm.elements),
         "BinLayout": (layout, "n_bins", None),
-        "MeasurementData": (data, "settings", data.counts[0]),
+        "BinnedHomodyne": (measurement, "povms", measurement.povms[0].elements),
+        "MeasurementData": (data, "measurement", data.counts[0]),
         "ReconstructionResult": (result, "log_likelihood_trace", None),
         "RankReport": (report, "singular_values", report.singular_values),
     }
@@ -96,8 +98,8 @@ def _value_objects():
 
 @pytest.mark.parametrize(
     "kind",
-    ["DensityMatrix", "PovmSet", "BinLayout", "MeasurementData", "ReconstructionResult",
-     "RankReport"],
+    ["DensityMatrix", "PovmSet", "BinLayout", "BinnedHomodyne", "MeasurementData",
+     "ReconstructionResult", "RankReport"],
 )
 def test_value_types_are_immutable_after_validation(kind):
     obj, name, array = _value_objects()[kind]
@@ -111,8 +113,8 @@ def test_value_types_are_immutable_after_validation(kind):
 
 @pytest.mark.parametrize(
     "kind, equal",
-    [("DensityMatrix", False), ("PovmSet", False), ("MeasurementData", False),
-     ("RankReport", False), ("BinLayout", True)],
+    [("DensityMatrix", False), ("PovmSet", False), ("BinnedHomodyne", False),
+     ("MeasurementData", False), ("RankReport", False), ("BinLayout", True)],
 )
 def test_array_holding_values_compare_by_identity(kind, equal):
     obj = _value_objects()[kind][0]

@@ -8,7 +8,6 @@ from povmrank import (
     DensityMatrix,
     SupportSet,
     coherent_amplitudes,
-    hermite_function,
     hermite_function_table,
     hermitian_to_real_vector,
     homodyne_pdf_grid,
@@ -26,24 +25,25 @@ def scaled_hermite(n, x):
     return math.pi**-0.25 * norm * eval_hermite(n, x)
 
 
-# ------------------------------------------------------------ hermite_function
+# ------------------------------------------------------ hermite_function_table
 
 
 def test_hermite_function_vacuum_at_origin():
-    assert hermite_function(0, 0.0) == pytest.approx(math.pi**-0.25, rel=1e-15)
+    assert hermite_function_table(0, 0.0)[0, 0] == pytest.approx(math.pi**-0.25, rel=1e-15)
 
 
 def test_hermite_function_odd_vanishes_at_origin():
-    assert hermite_function(1, 0.0) == 0.0
+    assert hermite_function_table(1, 0.0)[1, 0] == 0.0
 
 
 def test_hermite_function_matches_raw_formula():
     # psi_n * pi^(1/4) * sqrt(2^n n!) * e^(x^2/2) reproduces H_n for n <= 40
     xs = np.linspace(-6, 6, 25)
+    table = hermite_function_table(40, xs)
     for n in range(41):
         raw = eval_hermite(n, xs)
         lifted = (
-            hermite_function(n, xs)
+            table[n]
             * math.pi**0.25
             * math.exp(0.5 * (n * math.log(2.0) + math.lgamma(n + 1.0)))
             * np.exp(0.5 * xs**2)
@@ -51,14 +51,15 @@ def test_hermite_function_matches_raw_formula():
         scale = np.max(np.abs(raw))
         assert np.allclose(lifted, raw, rtol=1e-9, atol=1e-9 * scale)
     # frozen value: psi_2(1) = pi^(-1/4) e^(-1/2) / sqrt(2)
-    assert hermite_function(2, 1.0) == pytest.approx(0.3221441825567377, rel=1e-12)
+    assert hermite_function_table(2, 1.0)[2, 0] == pytest.approx(0.3221441825567377, rel=1e-12)
 
 
 def test_hermite_function_unit_norm():
     nodes, weights = np.polynomial.hermite.hermgauss(200)
+    table = hermite_function_table(30, nodes)
     for n in range(31):
         phi = np.array([scaled_hermite(n, x) for x in nodes])
-        prod = hermite_function(n, nodes) * np.exp(0.5 * nodes**2)
+        prod = table[n] * np.exp(0.5 * nodes**2)
         # production values against the oracle on the quadrature nodes
         assert np.allclose(prod, phi, rtol=1e-9, atol=1e-12)
         norm = float(np.sum(weights * prod * prod))
@@ -75,19 +76,12 @@ def test_orthonormality_up_to_20():
 def test_hermite_function_stable_for_large_n():
     n = 1000
     turning = math.sqrt(2 * n + 1)
-    xs = np.arange(-turning - 5, turning + 5, 0.005)
-    vals = hermite_function(n, xs)
+    xs = np.arange(-turning - 5, turning + 5, 0.02)  # keeps the table near 40 MB
+    vals = hermite_function_table(n, xs)[n]
     assert np.all(np.isfinite(vals))
     assert np.max(np.abs(vals)) < 1.0
     norm = np.trapezoid(vals * vals, xs)
     assert abs(norm - 1.0) < 1e-6
-
-
-def test_table_agrees_with_single_evaluations():
-    xs = np.array([-2.3, 0.0, 1.7])
-    table = hermite_function_table(12, xs)
-    for n in (0, 5, 12):
-        assert np.array_equal(table[n], hermite_function(n, xs))
 
 
 # ------------------------------------------------------------ homodyne_pdf_grid

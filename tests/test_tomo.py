@@ -7,9 +7,9 @@ import pytest
 
 from povmrank import (
     BinLayout,
+    BinnedHomodyne,
     DensityMatrix,
     MeasurementData,
-    PovmSet,
     ambiguity_witness,
     bin_samples,
     build_binned_quadrature_povm,
@@ -83,6 +83,13 @@ def test_binning_captures_tails_and_conserves_total():
     assert counts.sum() == 5
 
 
+def test_binning_rejects_nan_and_keeps_infinities_in_overflow():
+    layout = BinLayout(3.0, 3)
+    with pytest.raises(ValueError, match="NaN"):
+        bin_samples([0.0, math.nan, 5.0], layout)
+    assert bin_samples([-math.inf, 0.0, math.inf], layout).tolist() == [1, 0, 1, 0, 1]
+
+
 def test_symmetric_state_balances_left_right():
     rho = DensityMatrix(np.diag([0.6, 0.4]).astype(complex))  # even |0>,|1> densities
     n = 400_000
@@ -92,29 +99,57 @@ def test_symmetric_state_balances_left_right():
     assert abs(left - right) <= 4 * math.sqrt(n)
 
 
+# ---------------------------------------------------------- BinnedHomodyne
+
+
+def test_binned_homodyne_builds_one_set_per_phase():
+    layout = BinLayout(default_x_max(3), 5)
+    measurement = BinnedHomodyne([0.0, 1, 2.5], layout, 3)
+    assert measurement.phases == (0.0, 1.0, 2.5)
+    assert len(measurement.povms) == 3
+    with pytest.raises(ValueError, match="at least one phase"):
+        BinnedHomodyne([], layout, 3)
+    with pytest.raises(TypeError, match="BinLayout"):
+        BinnedHomodyne([0.0], layout.to_json_dict(), 3)
+
+
+def test_simulated_data_carry_the_sets_they_were_drawn_from():
+    dim, phases = 3, [0.0, 0.7, 2.0]
+    layout = BinLayout(default_x_max(dim), 2 * dim - 1)
+    data = simulate_dataset(DensityMatrix.maximally_mixed(dim), phases, layout, 100, seed=6)
+    assert data.settings == tuple((theta, layout) for theta in phases)
+    assert data.measurement.dim == dim
+    for theta, povm in zip(phases, data.measurement.povms):
+        built = build_binned_quadrature_povm(theta, layout, dim)
+        assert np.array_equal(povm.elements, built.elements)
+
+
 # -------------------------------------------------------------- MeasurementData
 
 
+def _one_setting(layout, dim=2):
+    return BinnedHomodyne([0.0], layout, dim)
+
+
 def test_measurement_data_validation():
-    layout = BinLayout(2.0, 2)
+    one = _one_setting(BinLayout(2.0, 2))
     with pytest.raises(ValueError, match="sum"):
-        MeasurementData(
-            settings=[(0.0, layout)], counts=[[1, 1, 1, 1]], total_per_setting=5, seed=1
-        )
+        MeasurementData(measurement=one, counts=[[1, 1, 1, 1]], total_per_setting=5, seed=1)
     with pytest.raises(ValueError, match="non-negative"):
-        MeasurementData(
-            settings=[(0.0, layout)], counts=[[-1, 3, 2, 1]], total_per_setting=5, seed=1
-        )
+        MeasurementData(measurement=one, counts=[[-1, 3, 2, 1]], total_per_setting=5, seed=1)
     with pytest.raises(ValueError, match="length"):
-        MeasurementData(
-            settings=[(0.0, layout)], counts=[[2, 3]], total_per_setting=5, seed=1
-        )
+        MeasurementData(measurement=one, counts=[[2, 3]], total_per_setting=5, seed=1)
+    with pytest.raises(ValueError, match="one count vector per setting"):
+        MeasurementData(measurement=one, counts=[[2, 3, 0, 0]] * 2, total_per_setting=5, seed=1)
+    with pytest.raises(TypeError, match="BinnedHomodyne"):
+        MeasurementData(measurement=one.povms, counts=[[2, 3, 0, 0]], total_per_setting=5, seed=1)
 
 
 def test_measurement_data_rejects_counts_that_are_not_whole():
     layout = BinLayout(2.0, 2)
     data = MeasurementData(
-        settings=[(0.0, layout)], counts=[[1.0, 1.0, 0.0, 0.0]], total_per_setting=2, seed=1
+        measurement=_one_setting(layout), counts=[[1.0, 1.0, 0.0, 0.0]],
+        total_per_setting=2, seed=1,
     )
     assert data.counts[0].tolist() == [1, 1, 0, 0]
     payload = data.to_json_dict()
@@ -124,7 +159,7 @@ def test_measurement_data_rejects_counts_that_are_not_whole():
             warnings.simplefilter("error")  # no cast warning on the way to the error
             with pytest.raises(ValueError, match="counts must be whole numbers"):
                 MeasurementData(
-                    settings=[(0.0, layout)], counts=[bad], total_per_setting=2, seed=1
+                    measurement=_one_setting(layout), counts=[bad], total_per_setting=2, seed=1
                 )
             with pytest.raises(ValueError, match="counts must be whole numbers"):
                 MeasurementData.from_json_dict({**payload, "counts": [bad]})
@@ -138,10 +173,20 @@ def test_measurement_data_json_roundtrip():
     back = MeasurementData.from_json_dict(json.loads(text))
     assert back.total_per_setting == data.total_per_setting
     assert back.seed == data.seed
-    assert [p for p, _ in back.settings] == [p for p, _ in data.settings]
+    assert back.settings == data.settings
+    assert back.measurement.dim == data.measurement.dim == 2
     for a, b in zip(back.counts, data.counts):
         assert np.array_equal(a, b)
     assert json.dumps(back.to_json_dict()) == text
+
+
+def test_measurement_data_json_rejects_mixed_layouts():
+    payload = simulate_dataset(
+        DensityMatrix.pure([1.0, 1.0]), [0.0, 1.0], BinLayout(2.0, 3), 100, seed=5
+    ).to_json_dict()
+    payload["layouts"][1] = BinLayout(2.5, 3).to_json_dict()  # same bin count, other edges
+    with pytest.raises(ValueError, match="layouts must be uniform"):
+        MeasurementData.from_json_dict(payload)
 
 
 def test_simulate_dataset_uses_derived_seeds():
@@ -186,7 +231,7 @@ def test_simulate_validates_before_drawing(monkeypatch):
     layout = BinLayout(default_x_max(2), 3)
     with pytest.raises(ValueError, match="seed"):
         simulate_dataset(rho, [0.0, 1.0], layout, 100, seed=-1)
-    with pytest.raises(ValueError, match="positive"):
+    with pytest.raises(ValueError, match="total_per_setting must be positive"):
         simulate_dataset(rho, [0.0, 1.0], layout, 0, seed=1)
 
 
@@ -202,10 +247,10 @@ def _ic_setup(dim=3):
 
 def test_ml_recovers_state_from_ic_settings():
     dim = 3
-    phases, layout, povms = _ic_setup(dim)
+    phases, layout, _ = _ic_setup(dim)
     rho_true = DensityMatrix.pure([1.0, 1.0, 1.0])
     data = simulate_dataset(rho_true, phases, layout, 100_000, seed=42)
-    result = ml_reconstruct(data, povms)
+    result = ml_reconstruct(data)
     assert fidelity(result.estimate, rho_true) >= 0.99
     gains = np.diff(result.log_likelihood_trace)
     assert np.min(gains) > -1e-10
@@ -216,10 +261,9 @@ def test_ml_single_quadrature_pins_populations_only():
     # coherence
     dim = 2
     layout = BinLayout(default_x_max(dim), 2 * dim - 1)
-    povm = build_binned_quadrature_povm(0.0, layout, dim)
     rho_true = DensityMatrix(np.diag([0.7, 0.3]).astype(complex))
     data = simulate_dataset(rho_true, [0.0], layout, 100_000, seed=7)
-    result = ml_reconstruct(data, [povm])
+    result = ml_reconstruct(data)
     est_diag = np.real(np.diag(result.estimate.entries))
     assert np.max(np.abs(est_diag - [0.7, 0.3])) < 0.02
 
@@ -246,10 +290,10 @@ def test_ml_stationary_at_exact_data():
 
 def test_ml_estimate_satisfies_state_invariants():
     dim = 3
-    phases, layout, povms = _ic_setup(dim)
+    phases, layout, _ = _ic_setup(dim)
     rho_true = DensityMatrix.maximally_mixed(dim)
     data = simulate_dataset(rho_true, phases, layout, 20_000, seed=13)
-    result = ml_reconstruct(data, povms, max_iters=400)
+    result = ml_reconstruct(data, max_iters=400)
     est = result.estimate.entries
     assert np.max(np.abs(est - est.conj().T)) < 1e-12
     assert abs(np.trace(est) - 1.0) < 1e-12
@@ -259,46 +303,43 @@ def test_ml_estimate_satisfies_state_invariants():
 
 def test_ml_fidelity_improves_with_sample_size():
     dim = 3
-    phases, layout, povms = _ic_setup(dim)
+    phases, layout, _ = _ic_setup(dim)
     rho_true = DensityMatrix.pure([1.0, -0.5j, 0.25])
     medians = []
     for n in (1_000, 10_000, 100_000):
         fids = []
         for seed in (1, 2, 3, 4, 5):
             data = simulate_dataset(rho_true, phases, layout, n, seed=seed)
-            result = ml_reconstruct(data, povms)
+            result = ml_reconstruct(data)
             fids.append(fidelity(result.estimate, rho_true))
         medians.append(float(np.median(fids)))
     assert medians[0] <= medians[1] <= medians[2]
 
 
+# Bins (-90, -30) and (30, 90) hold no probability at dim 2: psi_0 and psi_1
+# are below 1e-190 there, so every entry of those elements underflows to 0.
+FAR_BINS = BinLayout(90.0, 3, include_overflow=False)
+
+
 def test_ml_flags_singular_bins():
-    dim = 2
-    layout = BinLayout(1.0, 2, include_overflow=False)
-    zero = np.zeros((dim, dim), dtype=complex)
-    povm = PovmSet(dim=dim, elements=[zero, np.eye(dim, dtype=complex)])
     data = MeasurementData(
-        settings=[(0.0, layout)], counts=[[5, 95]], total_per_setting=100, seed=1
+        measurement=_one_setting(FAR_BINS), counts=[[5, 95, 0]], total_per_setting=100, seed=1
     )
     with pytest.warns(RuntimeWarning, match="floored"):
-        result = ml_reconstruct(data, [povm], max_iters=50)
+        result = ml_reconstruct(data, max_iters=50)
     assert result.singular_data
     assert json.loads(json.dumps(result.to_json_dict()))["singular_data"] is True
 
 
 def test_ml_zero_probability_bin_without_counts_is_not_singular():
-    dim = 2
-    layout = BinLayout(1.0, 2, include_overflow=False)
-    zero = np.zeros((dim, dim), dtype=complex)
-    povm = PovmSet(dim=dim, elements=[zero, np.eye(dim, dtype=complex)])
     data = MeasurementData(
-        settings=[(0.0, layout)], counts=[[0, 100]], total_per_setting=100, seed=1
+        measurement=_one_setting(FAR_BINS), counts=[[0, 100, 0]], total_per_setting=100, seed=1
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        result = ml_reconstruct(data, [povm], max_iters=50)
+        result = ml_reconstruct(data, max_iters=50)
     assert not result.singular_data
-    assert result.log_likelihood_trace[-1] == 0.0  # 100 log Tr(rho I)
+    assert result.log_likelihood_trace[-1] == 0.0  # 100 log Tr(rho E_mid), E_mid = I
 
 
 def test_ml_final_loglik_sums_the_observed_bins():
@@ -307,7 +348,7 @@ def test_ml_final_loglik_sums_the_observed_bins():
     data = simulate_dataset(DensityMatrix.pure([1.0, 0.0, 0.0]), phases, layout, 300, seed=9)
     counts = np.concatenate(data.counts)
     assert np.any(counts == 0)
-    result = ml_reconstruct(data, povms, max_iters=200)
+    result = ml_reconstruct(data, max_iters=200)
     ops = np.concatenate([povm.elements for povm in povms])
     p = np.real(np.einsum("kl,jlk->j", result.estimate.entries, ops))
     seen = counts > 0
@@ -316,29 +357,25 @@ def test_ml_final_loglik_sums_the_observed_bins():
 
 
 def test_ml_rejects_mismatched_inputs():
+    # the sets and the dim come from the data, so no others can be passed
     dim = 3
     phases, layout, povms = _ic_setup(dim)
     rho = DensityMatrix.maximally_mixed(dim)
     data = simulate_dataset(rho, phases, layout, 100, seed=2)
-    with pytest.raises(ValueError, match="setting"):
-        ml_reconstruct(data, povms[:2])
     with pytest.raises(TypeError):
-        ml_reconstruct(data, povms, epsilon=0.5)  # the dilution is a constant
-    # 2*3+1 elements at dim 2: the bin count matches, the dim does not
-    other = build_binned_quadrature_povm(0.0, BinLayout(default_x_max(2), 2 * dim - 1), 2)
-    with pytest.raises(ValueError, match="share one dim"):
-        ml_reconstruct(data, [other] + povms[1:])
+        ml_reconstruct(data, povms)
     with pytest.raises(TypeError):
-        ml_reconstruct(data, povms, dim)  # the dim comes from the sets
+        ml_reconstruct(data, povms=povms)
+    with pytest.raises(TypeError):
+        ml_reconstruct(data, epsilon=0.5)  # the dilution is a constant
 
 
 def test_reconstruction_result_json():
     dim = 2
     layout = BinLayout(default_x_max(dim), 3)
-    povm = build_binned_quadrature_povm(0.0, layout, dim)
     rho = DensityMatrix.pure([1.0, 1.0])
     data = simulate_dataset(rho, [0.0], layout, 5000, seed=8)
-    result = ml_reconstruct(data, [povm], max_iters=50)
+    result = ml_reconstruct(data, max_iters=50)
     payload = json.loads(json.dumps(result.to_json_dict()))
     assert payload["iterations"] == result.iterations
     assert payload["final_loglik"] == result.log_likelihood_trace[-1]
