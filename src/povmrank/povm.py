@@ -7,6 +7,7 @@ is one read-only element stack with the identity deficit it always computes.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,10 +155,16 @@ class BinLayout:
     include_overflow: bool = True
 
     def __post_init__(self):
-        if not self.x_max > 0:
-            raise ValueError("x_max must be positive")
-        if self.n_bins < 1:
+        if not (self.x_max > 0 and math.isfinite(self.x_max)):
+            raise ValueError("x_max must be positive and finite")
+        n_bins = self.n_bins
+        if isinstance(n_bins, float) and n_bins.is_integer():
+            n_bins = int(n_bins)
+        if isinstance(n_bins, bool) or not isinstance(n_bins, numbers.Integral):
+            raise TypeError("n_bins must be an integer")
+        if n_bins < 1:
             raise ValueError("n_bins must be positive")
+        object.__setattr__(self, "n_bins", int(n_bins))
 
     @property
     def n_elements(self) -> int:
@@ -185,7 +192,7 @@ class BinLayout:
     def from_json_dict(cls, data: dict) -> "BinLayout":
         return cls(
             x_max=float(data["x_max"]),
-            n_bins=int(data["n_bins"]),
+            n_bins=data["n_bins"],
             include_overflow=bool(data["include_overflow"]),
         )
 

@@ -311,7 +311,10 @@ def test_simulate_reconstruct_recovers_ic_state(capsys):
     )
     assert code == 0
     assert "not IC" not in err
-    assert json.loads(out)["fidelity"] >= 0.99
+    payload = json.loads(out)
+    assert payload["fidelity"] >= 0.99
+    assert payload["stop"] == "certified" and payload["converged"] is True
+    assert payload["gap_bound"] <= 0.1
 
 
 def test_simulate_reconstruct_rejects_bad_state():

@@ -283,6 +283,28 @@ def test_bin_layout_validation_and_intervals():
         BinLayout(2.0, 0)
 
 
+@pytest.mark.parametrize("n_bins", [2.5, True, False, "3", None, INF, math.nan])
+def test_bin_layout_rejects_bin_counts_that_are_not_integers(n_bins):
+    with pytest.raises(TypeError, match="n_bins must be an integer"):
+        BinLayout(3.0, n_bins)
+
+
+@pytest.mark.parametrize("x_max", [INF, -INF, math.nan])
+def test_bin_layout_rejects_x_max_that_is_not_finite(x_max):
+    with pytest.raises(ValueError, match="x_max must be positive and finite"):
+        BinLayout(x_max, 3)
+
+
+def test_bin_layout_normalizes_integral_bin_counts():
+    for n_bins in (3.0, np.int64(3), np.float64(3.0)):
+        layout = BinLayout(3.0, n_bins)
+        assert type(layout.n_bins) is int and layout.n_elements == 5
+        assert layout == BinLayout(3.0, 3)
+    payload = {**BinLayout(3.0, 3).to_json_dict(), "n_bins": 2.5}
+    with pytest.raises(TypeError, match="n_bins must be an integer"):
+        BinLayout.from_json_dict(payload)  # no longer truncated to 2
+
+
 # ------------------------------------------------------ displaced_number_operator
 
 

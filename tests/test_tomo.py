@@ -10,6 +10,7 @@ from povmrank import (
     BinnedHomodyne,
     DensityMatrix,
     MeasurementData,
+    ReconstructionResult,
     ambiguity_witness,
     bin_samples,
     build_binned_quadrature_povm,
@@ -268,24 +269,79 @@ def test_ml_single_quadrature_pins_populations_only():
     assert np.max(np.abs(est_diag - [0.7, 0.3])) < 0.02
 
 
-def test_ml_stationary_at_exact_data():
-    # weights f_j = p_j(rho*) make the reweighting operator the identity,
-    # so one diluted update leaves rho* fixed to rounding
-    dim = 2
-    _, _, povms = _ic_setup(dim)
-    povm = povms[0]
-    rho_star = DensityMatrix.pure([2.0, 1.0]).entries
-    ops = np.stack(povm.elements)
-    p = np.real(np.einsum("kl,jlk->j", rho_star, ops))
-    r_op = np.einsum("j,jkl->kl", p / p, ops)
-    grow = 0.5 * np.eye(dim) + 0.5 * r_op
-    updated = grow @ rho_star @ grow
-    updated /= np.trace(updated).real
-    ll_before = float(np.dot(p, np.log(p)))
-    p_after = np.real(np.einsum("kl,jlk->j", updated, ops))
-    ll_after = float(np.dot(p, np.log(p_after)))
-    assert abs(ll_after - ll_before) < 1e-12
-    assert np.max(np.abs(updated - rho_star)) < 1e-10
+def _project_by_bisection(h):
+    # reference projection onto density matrices: eigenvalues w -> max(w - tau, 0)
+    # with the shift tau found by bisection so that they sum to one
+    w, v = np.linalg.eigh(h)
+    lo, hi = w.min() - 1.0, w.max()
+    for _ in range(200):
+        tau = 0.5 * (lo + hi)
+        lo, hi = (tau, hi) if np.maximum(w - tau, 0.0).sum() > 1.0 else (lo, tau)
+    return (v * np.maximum(w - 0.5 * (lo + hi), 0.0)) @ v.conj().T
+
+
+def _certificate(rho, data):
+    """(L(rho), N (lambda_max(R) - 1)) over the observed bins, from the elements."""
+    ops = np.concatenate([povm.elements for povm in data.measurement.povms])
+    counts = np.concatenate(data.counts).astype(float)
+    seen = counts > 0
+    p = np.real(np.einsum("kl,jlk->j", rho, ops[seen]))
+    total = counts.sum()
+    r_op = np.einsum("j,jkl->kl", counts[seen] / (total * p), ops[seen])
+    loglik = math.fsum((counts[seen] * np.log(p)).tolist())
+    return loglik, total * (np.linalg.eigvalsh(r_op)[-1] - 1.0), r_op
+
+
+def _criterion_6_data():
+    dim = 3
+    phases, layout, _ = _ic_setup(dim)
+    rho_true = DensityMatrix.pure([1.0, 1.0, 1.0])
+    return rho_true, simulate_dataset(rho_true, phases, layout, 100_000, seed=42)
+
+
+def test_ml_estimate_is_a_projected_gradient_fixed_point():
+    # sigma = P(rho + R) satisfies |sigma - rho|^2 <= Tr(R (sigma - rho))
+    # <= lambda_max(R) - 1, so a certified estimate barely moves under one step
+    dim = 4
+    phases, layout, _ = _ic_setup(dim)
+    data = simulate_dataset(DensityMatrix.pure([1.0, 0.5j, -0.3, 0.2]), phases, layout, 50_000, seed=3)
+    result = ml_reconstruct(data)
+    assert result.stop == "certified"
+    rho = result.estimate.entries
+    _loglik, gap, r_op = _certificate(rho, data)
+    moved = np.linalg.norm(_project_by_bisection(rho + r_op) - rho)
+    assert moved <= math.sqrt(max(gap, 0.0) / (dim * 50_000)) + 1e-9
+
+
+def test_ml_reports_its_certificate(rng, make_rho):
+    rho_true, data = _criterion_6_data()
+    result = ml_reconstruct(data)
+    loglik, gap, _r_op = _certificate(result.estimate.entries, data)
+    assert result.gap_bound == pytest.approx(gap, abs=1e-8)
+    assert result.log_likelihood_trace[-1] == pytest.approx(loglik, rel=1e-12)
+    # concavity: no state beats the estimate by more than the bound
+    for sigma in [rho_true] + [make_rho(rng, 3) for _ in range(20)]:
+        assert _certificate(sigma.entries, data)[0] <= loglik + result.gap_bound + 1e-6
+
+
+def test_ml_certifies_criterion_6_data_quickly():
+    # a regression to a slow solver (the diluted R-rho-R iteration needed
+    # over a thousand iterations for the same bound) fails here
+    _rho_true, data = _criterion_6_data()
+    result = ml_reconstruct(data)
+    assert result.stop == "certified" and result.converged
+    assert result.gap_bound <= 0.1
+    assert result.iterations <= 1000
+
+
+def test_ml_stops_at_max_iters_without_a_certificate():
+    _rho_true, data = _criterion_6_data()
+    result = ml_reconstruct(data, max_iters=3)
+    assert (result.stop, result.converged, result.iterations) == ("max_iters", False, 3)
+    assert result.gap_bound > 0.1
+    start = ml_reconstruct(data, max_iters=0)
+    assert start.iterations == 0 and start.stop == "max_iters"
+    assert np.array_equal(start.estimate.entries, np.eye(3) / 3)
 
 
 def test_ml_estimate_satisfies_state_invariants():
@@ -328,6 +384,7 @@ def test_ml_flags_singular_bins():
     with pytest.warns(RuntimeWarning, match="floored"):
         result = ml_reconstruct(data, max_iters=50)
     assert result.singular_data
+    assert (result.stop, result.converged) == ("singular", False)
     assert json.loads(json.dumps(result.to_json_dict()))["singular_data"] is True
 
 
@@ -339,6 +396,8 @@ def test_ml_zero_probability_bin_without_counts_is_not_singular():
         warnings.simplefilter("error")
         result = ml_reconstruct(data, max_iters=50)
     assert not result.singular_data
+    # R = E_mid = I certifies the start at once
+    assert (result.stop, result.iterations) == ("certified", 0)
     assert result.log_likelihood_trace[-1] == 0.0  # 100 log Tr(rho E_mid), E_mid = I
 
 
@@ -367,7 +426,7 @@ def test_ml_rejects_mismatched_inputs():
     with pytest.raises(TypeError):
         ml_reconstruct(data, povms=povms)
     with pytest.raises(TypeError):
-        ml_reconstruct(data, epsilon=0.5)  # the dilution is a constant
+        ml_reconstruct(data, epsilon=0.5)  # the estimator has no dilution
 
 
 def test_reconstruction_result_json():
@@ -379,6 +438,11 @@ def test_reconstruction_result_json():
     payload = json.loads(json.dumps(result.to_json_dict()))
     assert payload["iterations"] == result.iterations
     assert payload["final_loglik"] == result.log_likelihood_trace[-1]
+    assert payload["gap_bound"] == result.gap_bound
+    assert payload["stop"] == result.stop
+    assert payload["converged"] == (result.stop == "certified")
+    with pytest.raises(ValueError, match="stop must be one of"):
+        ReconstructionResult(result.estimate, (0.0,), stop="converged", gap_bound=0.0)
     est = np.array([complex(re, im) for re, im in payload["estimate"]]).reshape(dim, dim)
     assert np.array_equal(est, result.estimate.entries)
 
