@@ -44,11 +44,12 @@ def _phase_list(text: str) -> list:
 
 
 def _write_output(text: str, path: str | None) -> None:
+    text = text if text.endswith("\n") else text + "\n"
     if path is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
     else:
         with open(path, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
 
 
 def parse_state_spec(spec: str, dim_override: int | None = None) -> DensityMatrix:

@@ -90,6 +90,8 @@ class MeasurementSpec:
         phases = tuple(float(p) for p in self.phases)
         if not phases:
             raise ValueError("at least one phase is required")
+        if not all(map(math.isfinite, phases)):
+            raise ValueError("phases must be finite")
         if not _reduced_distinct(phases):
             raise ValueError("phases must be pairwise distinct mod pi")
         object.__setattr__(self, "phases", phases)
@@ -126,16 +128,6 @@ class RankReport:
             "tolerance": self.tolerance_used,
             "singular_values": [float(s) for s in self.singular_values],
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "RankReport":
-        return cls(
-            numerical_rank=int(data["rank"]),
-            singular_values=np.array(data["singular_values"], dtype=float),
-            gap=float(data["gap"]),
-            tolerance_used=float(data["tolerance"]),
-            predicted_rank=None if data["predicted"] is None else int(data["predicted"]),
-        )
 
 
 @functools.lru_cache(maxsize=64)
@@ -249,10 +241,6 @@ class SweepTable:
                 if rep.numerical_rank != rep.predicted_rank:
                     out.append((d, m, rep.numerical_rank, rep.predicted_rank))
         return out
-
-    @property
-    def all_match(self) -> bool:
-        return not self.mismatches()
 
     def _csv_row(self, d: int, numeric: bool) -> str:
         cells = []

@@ -111,11 +111,6 @@ class SupportSet:
         return len(self.indices)
 
     @property
-    def dim(self) -> int:
-        """Smallest truncated subspace containing the support."""
-        return self.indices[-1] + 1
-
-    @property
     def is_contiguous(self) -> bool:
         return self.indices == tuple(range(len(self.indices)))
 

@@ -97,13 +97,13 @@ class PovmSet:
     """POVM elements on a dim-level subspace plus a completeness certificate.
 
     ``elements`` is one read-only complex array of shape [n, dim, dim],
-    checked once at construction.  ``deficit`` is the spectral norm of
+    checked once at construction; a set carries no name, and whoever built
+    it knows its setting.  ``deficit`` is the spectral norm of
     (identity - sum of elements), always computed from that array.
     """
 
     dim: int
     elements: np.ndarray
-    label: str = ""
     deficit: float = field(init=False)
 
     def __post_init__(self):
@@ -127,22 +127,6 @@ class PovmSet:
         deficit = float(np.linalg.norm(np.eye(self.dim) - np.sum(els, axis=0), ord=2))
         object.__setattr__(self, "elements", els)
         object.__setattr__(self, "deficit", deficit)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "label": self.label,
-            "deficit": self.deficit,
-            "elements": [[[z.real, z.imag] for z in el.ravel()] for el in self.elements],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "PovmSet":
-        dim = int(data["dim"])
-        # each [re, im] pair is one complex128, so a view restores it bit for bit
-        pairs = np.asarray(data["elements"], dtype=float)
-        elements = pairs.view(complex).reshape(len(pairs), dim, dim)
-        return cls(dim=dim, elements=elements, label=data["label"])
 
 
 @dataclass(frozen=True)
@@ -181,31 +165,11 @@ class BinLayout:
             return [(-math.inf, -self.x_max)] + finite + [(self.x_max, math.inf)]
         return finite
 
-    def to_json_dict(self) -> dict:
-        return {
-            "x_max": self.x_max,
-            "n_bins": self.n_bins,
-            "include_overflow": self.include_overflow,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "BinLayout":
-        return cls(
-            x_max=float(data["x_max"]),
-            n_bins=data["n_bins"],
-            include_overflow=bool(data["include_overflow"]),
-        )
-
 
 def build_binned_quadrature_povm(theta: float, layout: BinLayout, dim: int) -> PovmSet:
     """One operator per bin of the layout at phase theta, in ascending bin order."""
     lo, hi = np.array(layout.intervals()).T
-    elements = quadrature_bin_operator(theta, lo, hi, dim)
-    label = (
-        f"binned-quadrature theta={theta:.12g} n_bins={layout.n_bins} "
-        f"x_max={layout.x_max:g} overflow={layout.include_overflow}"
-    )
-    return PovmSet(dim=dim, elements=elements, label=label)
+    return PovmSet(dim=dim, elements=quadrature_bin_operator(theta, lo, hi, dim))
 
 
 def _displacement_work_dim(dim: int, beta_abs: float) -> int:

@@ -15,6 +15,7 @@ to within ML_GAP_TOL nats.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -57,30 +58,33 @@ class BinnedHomodyne:
         phases = tuple(float(p) for p in self.phases)
         if not phases:
             raise ValueError("at least one phase is required")
+        if not all(map(math.isfinite, phases)):
+            raise ValueError("phases must be finite")
         if not isinstance(self.layout, BinLayout):
             raise TypeError("layout must be a BinLayout")
-        povms = tuple(build_binned_quadrature_povm(t, self.layout, self.dim) for t in phases)
+        if isinstance(self.dim, bool) or not isinstance(self.dim, numbers.Integral):
+            raise TypeError("dim must be an integer")
+        dim = int(self.dim)
+        povms = tuple(build_binned_quadrature_povm(t, self.layout, dim) for t in phases)
         object.__setattr__(self, "phases", phases)
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "povms", povms)
 
 
 @dataclass(frozen=True, eq=False)
 class MeasurementData:
-    """Per-setting, per-bin event counts drawn from one measurement, with
-    sampling provenance; the estimator reads the POVM sets from it."""
+    """Per-setting, per-bin event counts of one measurement, simulated or
+    measured; the estimator reads the POVM sets from it."""
 
     measurement: BinnedHomodyne
     counts: tuple  # of read-only int64 vectors, one per POVM set of the measurement
     total_per_setting: int
-    seed: int
 
     def __post_init__(self):
         if not isinstance(self.measurement, BinnedHomodyne):
             raise TypeError("measurement must be a BinnedHomodyne")
         if self.total_per_setting < 1:
             raise ValueError("total_per_setting must be positive")
-        if not 0 <= self.seed < MAX_SEED:
-            raise ValueError("seed must be a 64-bit non-negative integer")
         if len(self.counts) != len(self.measurement.povms):
             raise ValueError("one count vector per setting is required")
         counts = []
@@ -102,29 +106,6 @@ class MeasurementData:
     @property
     def settings(self) -> tuple:
         return tuple((theta, self.measurement.layout) for theta in self.measurement.phases)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "settings": list(self.measurement.phases),
-            "layouts": [self.measurement.layout.to_json_dict() for _ in self.counts],
-            "counts": [[int(c) for c in vec] for vec in self.counts],
-            "seed": self.seed,
-            "totals": [self.total_per_setting] * len(self.counts),
-            "dim": self.measurement.dim,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "MeasurementData":
-        totals = set(int(t) for t in data["totals"])
-        layouts = set(BinLayout.from_json_dict(d) for d in data["layouts"])
-        if len(totals) != 1 or len(layouts) != 1:
-            raise ValueError("totals and layouts must be uniform across settings")
-        return cls(
-            measurement=BinnedHomodyne(data["settings"], layouts.pop(), int(data["dim"])),
-            counts=data["counts"],
-            total_per_setting=totals.pop(),
-            seed=int(data["seed"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -175,6 +156,14 @@ class ReconstructionResult:
         }
 
 
+def _checked_seed(seed) -> int:
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise TypeError("seed must be an integer")
+    if not 0 <= seed < MAX_SEED:
+        raise ValueError("seed must be a 64-bit non-negative integer")
+    return int(seed)
+
+
 def sample_homodyne(rho: DensityMatrix, theta: float, n_samples: int, seed: int) -> np.ndarray:
     """i.i.d. quadrature outcomes drawn from the homodyne density at theta.
 
@@ -183,8 +172,7 @@ def sample_homodyne(rho: DensityMatrix, theta: float, n_samples: int, seed: int)
     """
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
-    if not 0 <= seed < MAX_SEED:
-        raise ValueError("seed must be a 64-bit non-negative integer")
+    seed = _checked_seed(seed)
     x_max = default_x_max(rho.dim)
     xs = np.linspace(-x_max, x_max, SAMPLING_GRID_POINTS)
     pdf = np.clip(homodyne_pdf_grid(rho, theta, xs), 0.0, None)
@@ -229,8 +217,7 @@ def simulate_dataset(
     """
     if total_per_setting < 1:
         raise ValueError("total_per_setting must be positive")
-    if not 0 <= seed < MAX_SEED:
-        raise ValueError("seed must be a 64-bit non-negative integer")
+    seed = _checked_seed(seed)
     measurement = BinnedHomodyne(phases, layout, rho.dim)
     probs = np.clip(np.real(_born_rows(measurement.povms) @ rho.entries.ravel()), 0.0, None)
     counts = []
@@ -241,7 +228,6 @@ def simulate_dataset(
         measurement=measurement,
         counts=counts,
         total_per_setting=total_per_setting,
-        seed=seed,
     )
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import povmrank
-from povmrank import RankReport
+from povmrank import SupportSet, rank_for
 from povmrank.cli import main, parse_state_spec
 
 # The reference rank table, d rows 2..8, m columns 1..6.
@@ -123,8 +123,30 @@ def test_rank_explicit_phases(capsys):
 def test_rank_output_roundtrips_via_schema(capsys):
     code, out, _ = run_cli(capsys, ["rank", "--d", "3", "--m", "2"])
     assert code == 0
-    report = RankReport.from_json_dict(json.loads(out))
-    assert json.dumps(report.to_json_dict()) == out.strip()
+    assert out == json.dumps(rank_for(SupportSet.contiguous(3), 2).to_json_dict()) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv, keys, cell_keys",
+    [
+        (["rank", "--d", "3", "--m", "2"],
+         ["rank", "predicted", "gap", "tolerance", "singular_values"], None),
+        (["table", "--d-max", "3", "--m-max", "2", "--format", "json"],
+         ["d_values", "m_values", "cells"], ["d", "m", "rank", "predicted", "gap", "ic"]),
+        (["simulate-reconstruct", "--state", "fock:0,1@1,1", "--m", "2",
+          "--samples", "2000", "--seed", "5"],
+         ["estimate", "iterations", "converged", "final_loglik", "singular_data",
+          "gap_bound", "stop", "fidelity"], None),
+    ],
+    ids=["rank", "table", "simulate-reconstruct"],
+)
+def test_json_outputs_have_pinned_keys(capsys, argv, keys, cell_keys):
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    payload = json.loads(out)
+    assert list(payload) == keys
+    if cell_keys is not None:
+        assert payload["cells"] and all(list(cell) == cell_keys for cell in payload["cells"])
 
 
 def test_rank_rejects_duplicate_phases():

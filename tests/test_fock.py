@@ -324,7 +324,6 @@ def test_pure_keeps_ordinary_amplitudes_bit_identical():
 def test_support_set_validation():
     sup = SupportSet((0, 4, 8))
     assert sup.size == 3
-    assert sup.dim == 9
     assert not sup.is_contiguous
     assert SupportSet.contiguous(3).is_contiguous
     with pytest.raises(ValueError):

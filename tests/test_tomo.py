@@ -63,6 +63,26 @@ def test_sampling_rejects_bad_seed():
         sample_homodyne(vac, 0.0, 10, seed=-1)
 
 
+@pytest.mark.parametrize("seed", [1.5, True])
+def test_seeds_must_be_integers(seed):
+    rho = DensityMatrix.pure([1.0, 1.0])
+    with pytest.raises(TypeError, match="seed must be an integer"):
+        sample_homodyne(rho, 0.0, 10, seed=seed)
+    with pytest.raises(TypeError, match="seed must be an integer"):
+        simulate_dataset(rho, [0.0], BinLayout(2.0, 3), 10, seed=seed)
+
+
+def test_numpy_integer_seeds_draw_like_python_ints():
+    rho = DensityMatrix.pure([1.0, 1.0])
+    assert np.array_equal(sample_homodyne(rho, 0.0, 10, seed=np.int64(3)),
+                          sample_homodyne(rho, 0.0, 10, seed=3))
+    layout = BinLayout(2.0, 3)
+    a = simulate_dataset(rho, [0.0, 1.0], layout, 100, seed=np.int64(3))
+    b = simulate_dataset(rho, [0.0, 1.0], layout, 100, seed=3)
+    for x, y in zip(a.counts, b.counts):
+        assert np.array_equal(x, y)
+
+
 # ------------------------------------------------------------------- bin_samples
 
 
@@ -111,7 +131,25 @@ def test_binned_homodyne_builds_one_set_per_phase():
     with pytest.raises(ValueError, match="at least one phase"):
         BinnedHomodyne([], layout, 3)
     with pytest.raises(TypeError, match="BinLayout"):
-        BinnedHomodyne([0.0], layout.to_json_dict(), 3)
+        BinnedHomodyne([0.0], {"x_max": layout.x_max, "n_bins": layout.n_bins}, 3)
+    assert type(BinnedHomodyne([0.0], layout, np.int64(3)).dim) is int
+
+
+@pytest.mark.parametrize("dim", [3.0, True, "3", None])
+def test_binned_homodyne_rejects_dims_that_are_not_integers(dim):
+    with pytest.raises(TypeError, match="dim must be an integer"):
+        BinnedHomodyne([0.0], BinLayout(2.0, 3), dim)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_binned_homodyne_rejects_non_finite_phases_before_any_arithmetic(bad):
+    layout = BinLayout(2.0, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="phases must be finite"):
+            BinnedHomodyne([0.0, bad], layout, 2)
+        with pytest.raises(ValueError, match="phases must be finite"):
+            ambiguity_witness(counterexample_states(), [bad], layout)
 
 
 def test_simulated_data_carry_the_sets_they_were_drawn_from():
@@ -135,59 +173,30 @@ def _one_setting(layout, dim=2):
 def test_measurement_data_validation():
     one = _one_setting(BinLayout(2.0, 2))
     with pytest.raises(ValueError, match="sum"):
-        MeasurementData(measurement=one, counts=[[1, 1, 1, 1]], total_per_setting=5, seed=1)
+        MeasurementData(measurement=one, counts=[[1, 1, 1, 1]], total_per_setting=5)
     with pytest.raises(ValueError, match="non-negative"):
-        MeasurementData(measurement=one, counts=[[-1, 3, 2, 1]], total_per_setting=5, seed=1)
+        MeasurementData(measurement=one, counts=[[-1, 3, 2, 1]], total_per_setting=5)
     with pytest.raises(ValueError, match="length"):
-        MeasurementData(measurement=one, counts=[[2, 3]], total_per_setting=5, seed=1)
+        MeasurementData(measurement=one, counts=[[2, 3]], total_per_setting=5)
     with pytest.raises(ValueError, match="one count vector per setting"):
-        MeasurementData(measurement=one, counts=[[2, 3, 0, 0]] * 2, total_per_setting=5, seed=1)
+        MeasurementData(measurement=one, counts=[[2, 3, 0, 0]] * 2, total_per_setting=5)
     with pytest.raises(TypeError, match="BinnedHomodyne"):
-        MeasurementData(measurement=one.povms, counts=[[2, 3, 0, 0]], total_per_setting=5, seed=1)
+        MeasurementData(measurement=one.povms, counts=[[2, 3, 0, 0]], total_per_setting=5)
 
 
 def test_measurement_data_rejects_counts_that_are_not_whole():
     layout = BinLayout(2.0, 2)
     data = MeasurementData(
         measurement=_one_setting(layout), counts=[[1.0, 1.0, 0.0, 0.0]],
-        total_per_setting=2, seed=1,
+        total_per_setting=2,
     )
     assert data.counts[0].tolist() == [1, 1, 0, 0]
-    payload = data.to_json_dict()
     nan, inf = float("nan"), float("inf")
     for bad in ([1.9, 1.9, 0.9, 0.9], [nan, 2, 0, 0], [inf, 2, 0, 0], [1e30, 2, 0, 0]):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no cast warning on the way to the error
             with pytest.raises(ValueError, match="counts must be whole numbers"):
-                MeasurementData(
-                    measurement=_one_setting(layout), counts=[bad], total_per_setting=2, seed=1
-                )
-            with pytest.raises(ValueError, match="counts must be whole numbers"):
-                MeasurementData.from_json_dict({**payload, "counts": [bad]})
-
-
-def test_measurement_data_json_roundtrip():
-    rho = DensityMatrix.pure([1.0, 1.0])
-    layout = BinLayout(default_x_max(2), 3)
-    data = simulate_dataset(rho, [0.0, math.pi / 2], layout, 1000, seed=5)
-    text = json.dumps(data.to_json_dict())
-    back = MeasurementData.from_json_dict(json.loads(text))
-    assert back.total_per_setting == data.total_per_setting
-    assert back.seed == data.seed
-    assert back.settings == data.settings
-    assert back.measurement.dim == data.measurement.dim == 2
-    for a, b in zip(back.counts, data.counts):
-        assert np.array_equal(a, b)
-    assert json.dumps(back.to_json_dict()) == text
-
-
-def test_measurement_data_json_rejects_mixed_layouts():
-    payload = simulate_dataset(
-        DensityMatrix.pure([1.0, 1.0]), [0.0, 1.0], BinLayout(2.0, 3), 100, seed=5
-    ).to_json_dict()
-    payload["layouts"][1] = BinLayout(2.5, 3).to_json_dict()  # same bin count, other edges
-    with pytest.raises(ValueError, match="layouts must be uniform"):
-        MeasurementData.from_json_dict(payload)
+                MeasurementData(measurement=_one_setting(layout), counts=[bad], total_per_setting=2)
 
 
 def test_simulate_dataset_uses_derived_seeds():
@@ -379,7 +388,7 @@ FAR_BINS = BinLayout(90.0, 3, include_overflow=False)
 
 def test_ml_flags_singular_bins():
     data = MeasurementData(
-        measurement=_one_setting(FAR_BINS), counts=[[5, 95, 0]], total_per_setting=100, seed=1
+        measurement=_one_setting(FAR_BINS), counts=[[5, 95, 0]], total_per_setting=100
     )
     with pytest.warns(RuntimeWarning, match="floored"):
         result = ml_reconstruct(data, max_iters=50)
@@ -390,7 +399,7 @@ def test_ml_flags_singular_bins():
 
 def test_ml_zero_probability_bin_without_counts_is_not_singular():
     data = MeasurementData(
-        measurement=_one_setting(FAR_BINS), counts=[[0, 100, 0]], total_per_setting=100, seed=1
+        measurement=_one_setting(FAR_BINS), counts=[[0, 100, 0]], total_per_setting=100
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
