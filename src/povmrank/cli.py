@@ -85,8 +85,7 @@ def parse_state_spec(spec: str, dim_override: int | None = None) -> DensityMatri
     if kind == "coherent":
         alpha = complex(body)
         dim = dim_override if dim_override is not None else int(at)
-        vec, _tail = coherent_amplitudes(alpha, dim)
-        return DensityMatrix.pure(vec)
+        return DensityMatrix.pure(coherent_amplitudes(alpha, dim))
     raise ValueError(f"unknown state kind {kind!r}")
 
 

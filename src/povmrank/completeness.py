@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .fock import SupportSet, hermite_function_table, real_coordinates
-from .povm import _displacement, _displacement_work_dim
+from .fock import SupportSet, _checked_phases, hermite_function_table, real_coordinates
+from .povm import _displaced_columns
 
 __all__ = [
     "MeasurementSpec",
@@ -87,11 +87,7 @@ class MeasurementSpec:
     def __post_init__(self):
         if not isinstance(self.support, SupportSet):
             raise TypeError("support must be a SupportSet")
-        phases = tuple(float(p) for p in self.phases)
-        if not phases:
-            raise ValueError("at least one phase is required")
-        if not all(map(math.isfinite, phases)):
-            raise ValueError("phases must be finite")
+        phases = _checked_phases(self.phases)
         if not _reduced_distinct(phases):
             raise ValueError("phases must be pairwise distinct mod pi")
         object.__setattr__(self, "phases", phases)
@@ -101,20 +97,29 @@ class MeasurementSpec:
 class RankReport:
     """Numerical rank with its spectral certificate (read-only singular values).
 
+    ``numerical_rank`` counts the singular values above ``tolerance_used``;
     ``gap`` is sigma_rank / sigma_{rank+1} (+inf when the trailing value is
     absent or exactly zero); anything below 1e3 is flagged ill-conditioned.
+    Both are always computed from the singular values and the tolerance.
     """
 
-    numerical_rank: int
     singular_values: np.ndarray
-    gap: float
     tolerance_used: float
     predicted_rank: int | None = None
+    numerical_rank: int = field(init=False)
+    gap: float = field(init=False)
 
     def __post_init__(self):
         sv = np.array(self.singular_values, dtype=float)
         sv.flags.writeable = False
+        rank = int(np.sum(sv > self.tolerance_used))
+        if rank == 0 or rank >= sv.size or sv[rank] == 0.0:
+            gap = math.inf
+        else:
+            gap = float(sv[rank - 1] / sv[rank])
         object.__setattr__(self, "singular_values", sv)
+        object.__setattr__(self, "numerical_rank", rank)
+        object.__setattr__(self, "gap", gap)
 
     @property
     def is_ill_conditioned(self) -> bool:
@@ -132,8 +137,12 @@ class RankReport:
 
 @functools.lru_cache(maxsize=64)
 def _hermgauss_nodes(n: int) -> np.ndarray:
-    """Gauss-Hermite node positions of order n, read-only."""
-    nodes = np.polynomial.hermite.hermgauss(n)[0]
+    """Gauss-Hermite node positions of order n, read-only: the eigenvalues of
+    the Hermite Jacobi matrix (off-diagonal sqrt(k/2)), made exactly symmetric;
+    no weights are formed, so nothing overflows at high order."""
+    off = np.sqrt(np.arange(1, n) / 2.0)
+    nodes = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    nodes = 0.5 * (nodes - nodes[::-1])
     nodes.flags.writeable = False
     return nodes
 
@@ -173,18 +182,7 @@ def numerical_rank(matrix) -> RankReport:
     if mat.ndim != 2 or mat.size == 0:
         raise ValueError("matrix must be 2-D and non-empty")
     sv = np.linalg.svd(mat, compute_uv=False)
-    tol = max(mat.shape) * float(sv[0]) * RANK_RTOL
-    rank = int(np.sum(sv > tol))
-    if rank == 0 or rank >= sv.size or sv[rank] == 0.0:
-        gap = math.inf
-    else:
-        gap = float(sv[rank - 1] / sv[rank])
-    return RankReport(
-        numerical_rank=rank,
-        singular_values=sv,
-        gap=gap,
-        tolerance_used=tol,
-    )
+    return RankReport(sv, max(mat.shape) * float(sv[0]) * RANK_RTOL)
 
 
 def rank_for(support: SupportSet, m: int, phases=None) -> RankReport:
@@ -312,9 +310,8 @@ def displaced_counting_rank(betas, n_detect: int, dim: int) -> RankReport:
         raise ValueError("at least one displacement is required")
     if n_detect < dim:
         raise ValueError("n_detect must be at least dim")
-    work_dim = max(_displacement_work_dim(dim, max(abs(b) for b in betas)), n_detect + 1)
     blocks = []
     for beta in betas:
-        cols = _displacement(beta, work_dim)[:dim, :n_detect].T  # D(b)|n>, n < n_detect
+        cols = _displaced_columns(beta, n_detect, dim).T  # D(b)|n>, n < n_detect
         blocks.append(cols[:, :, None] * cols[:, None, :].conj())
     return numerical_rank(real_coordinates(np.concatenate(blocks)))

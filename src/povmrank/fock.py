@@ -9,6 +9,7 @@ operators used by the rank analysis.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,23 @@ __all__ = [
 HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
+
+
+def _checked_integer(value, what: str) -> int:
+    """value as an int; a bool or a number that is not integral raises TypeError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{what} must be an integer")
+    return int(value)
+
+
+def _checked_phases(phases) -> tuple:
+    """Quadrature phases as a non-empty tuple of finite floats."""
+    phases = tuple(float(p) for p in phases)
+    if not phases:
+        raise ValueError("at least one phase is required")
+    if not all(map(math.isfinite, phases)):
+        raise ValueError("phases must be finite")
+    return phases
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,7 +109,7 @@ class SupportSet:
     indices: tuple
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
+        idx = tuple(_checked_integer(i, "Fock index") for i in self.indices)
         if not idx:
             raise ValueError("support must be non-empty")
         if idx[0] < 0:
@@ -115,14 +133,6 @@ class SupportSet:
         return self.indices == tuple(range(len(self.indices)))
 
 
-# Recurrence mantissas are kept inside [2^-300, 2^300]; the running binary
-# exponent absorbs the Gaussian seed, which underflows bare float64 for
-# |x| > ~37 even where psi_n itself is O(1).
-_MANTISSA_BAND = 2.0**300
-_RESCALE = 2.0**600
-_RESCALE_SHIFT = 600
-
-
 def _gaussian_seed(xa: np.ndarray):
     """pi^-1/4 e^{-x^2/2} as (mantissa, binary exponent), underflow-free."""
     t = (-0.5 / math.log(2.0)) * xa * xa
@@ -131,30 +141,16 @@ def _gaussian_seed(xa: np.ndarray):
     return mantissa, exponent.astype(np.int64)
 
 
-def _band_rescale(p_prev, p, exponent):
-    mag = np.maximum(np.abs(p_prev), np.abs(p))
-    big = mag > _MANTISSA_BAND
-    if big.any():
-        scale = np.where(big, 1.0 / _RESCALE, 1.0)
-        p_prev = p_prev * scale
-        p = p * scale
-        exponent = exponent + np.where(big, _RESCALE_SHIFT, 0)
-    small = (mag < 1.0 / _MANTISSA_BAND) & (mag > 0.0)
-    if small.any():
-        scale = np.where(small, _RESCALE, 1.0)
-        p_prev = p_prev * scale
-        p = p * scale
-        exponent = exponent - np.where(small, _RESCALE_SHIFT, 0)
-    return p_prev, p, exponent
-
-
 def _hermite_rows(n_max: int, xa: np.ndarray):
     """Yield psi_n(xa) for n = 0..n_max as (mantissa, binary exponent) pairs.
 
     Gaussian-damped recurrence
-    psi_{n+1} = x sqrt(2/(n+1)) psi_n - sqrt(n/(n+1)) psi_{n-1}, with the
-    exponent carried apart so each row stays accurate across the whole
-    classically allowed region for n well beyond 1000.
+    psi_{n+1} = x sqrt(2/(n+1)) psi_n - sqrt(n/(n+1)) psi_{n-1}; after each
+    step both rows are divided by the power of two that brings the larger
+    into [1/2, 1), an exact scaling the running exponent takes up.  The
+    exponent also absorbs the Gaussian seed, which underflows bare float64
+    for |x| > ~37 even where psi_n is O(1), so each row stays accurate across
+    the classically allowed region for n well beyond 1000.
     """
     p_prev, exponent = _gaussian_seed(xa)
     yield p_prev, exponent
@@ -164,7 +160,8 @@ def _hermite_rows(n_max: int, xa: np.ndarray):
     yield p, exponent
     for k in range(1, n_max):
         p_prev, p = p, math.sqrt(2.0 / (k + 1)) * xa * p - math.sqrt(k / (k + 1)) * p_prev
-        p_prev, p, exponent = _band_rescale(p_prev, p, exponent)
+        shift = np.frexp(np.maximum(np.abs(p_prev), np.abs(p)))[1]
+        p_prev, p, exponent = np.ldexp(p_prev, -shift), np.ldexp(p, -shift), exponent + shift
         yield p, exponent
 
 
@@ -181,6 +178,7 @@ def hermite_function_table(n_max: int, x) -> np.ndarray:
 
 def homodyne_pdf_grid(rho: DensityMatrix, theta: float, xs) -> np.ndarray:
     """Vectorized homodyne density over a grid of quadrature values."""
+    (theta,) = _checked_phases((theta,))
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     dim = rho.dim
     psi = hermite_function_table(dim - 1, xs)
@@ -188,12 +186,11 @@ def homodyne_pdf_grid(rho: DensityMatrix, theta: float, xs) -> np.ndarray:
     return np.real(np.einsum("ki,kl,li->i", v.conj(), rho.entries, v))
 
 
-def coherent_amplitudes(alpha: complex, n_cut: int):
-    """Truncated coherent-state amplitudes c_n = e^{-|a|^2/2} a^n / sqrt(n!).
+def coherent_amplitudes(alpha: complex, n_cut: int) -> np.ndarray:
+    """The first n_cut coherent-state amplitudes c_n = e^{-|a|^2/2} a^n / sqrt(n!).
 
-    Returns (array of the first n_cut amplitudes, tail mass left above the
-    cutoff).  The amplitudes are built by the stable recurrence
-    c_{n+1} = c_n * alpha / sqrt(n+1), avoiding explicit factorials.
+    Built by the stable recurrence c_{n+1} = c_n * alpha / sqrt(n+1),
+    avoiding explicit factorials.
     """
     if n_cut < 1:
         raise ValueError("n_cut must be positive")
@@ -202,8 +199,7 @@ def coherent_amplitudes(alpha: complex, n_cut: int):
     c[0] = math.exp(-0.5 * (alpha.real**2 + alpha.imag**2))
     for n in range(n_cut - 1):
         c[n + 1] = c[n] * alpha / math.sqrt(n + 1.0)
-    tail = max(0.0, 1.0 - float(np.sum(np.abs(c) ** 2)))
-    return c, tail
+    return c
 
 
 def photon_number_probability(alpha: complex, n: int) -> float:

@@ -97,22 +97,21 @@ class PovmSet:
     """POVM elements on a dim-level subspace plus a completeness certificate.
 
     ``elements`` is one read-only complex array of shape [n, dim, dim],
-    checked once at construction; a set carries no name, and whoever built
-    it knows its setting.  ``deficit`` is the spectral norm of
-    (identity - sum of elements), always computed from that array.
+    checked once at construction; dim is read off its first element.  A set
+    carries no name, and whoever built it knows its setting.  ``deficit`` is
+    the spectral norm of (identity - sum of elements), always computed from
+    that array.
     """
 
-    dim: int
     elements: np.ndarray
     deficit: float = field(init=False)
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be positive")
         if len(self.elements) == 0:
             raise ValueError("a POVM set needs at least one element")
-        if any(np.shape(el) != (self.dim, self.dim) for el in self.elements):
-            raise ValueError("element shape does not match dim")
+        dim = len(self.elements[0])
+        if dim < 1 or any(np.shape(el) != (dim, dim) for el in self.elements):
+            raise ValueError(f"element shape does not match dim {dim}")
         els = np.array(self.elements, dtype=complex)
         if not np.isfinite(els).all():
             raise ValueError("elements must be finite")
@@ -124,9 +123,13 @@ class PovmSet:
         if eig_min < ELEMENT_EIGENVALUE_FLOOR:
             raise ValueError(f"element is not PSD (min eigenvalue {eig_min:.3e})")
         els.flags.writeable = False
-        deficit = float(np.linalg.norm(np.eye(self.dim) - np.sum(els, axis=0), ord=2))
+        deficit = float(np.linalg.norm(np.eye(dim) - np.sum(els, axis=0), ord=2))
         object.__setattr__(self, "elements", els)
         object.__setattr__(self, "deficit", deficit)
+
+    @property
+    def dim(self) -> int:
+        return self.elements.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -169,12 +172,7 @@ class BinLayout:
 def build_binned_quadrature_povm(theta: float, layout: BinLayout, dim: int) -> PovmSet:
     """One operator per bin of the layout at phase theta, in ascending bin order."""
     lo, hi = np.array(layout.intervals()).T
-    return PovmSet(dim=dim, elements=quadrature_bin_operator(theta, lo, hi, dim))
-
-
-def _displacement_work_dim(dim: int, beta_abs: float) -> int:
-    """Least work_dim keeping truncation error in D(b)'s dim-block below ~1e-9."""
-    return dim + 4 * math.ceil(beta_abs**2) + 20
+    return PovmSet(quadrature_bin_operator(theta, lo, hi, dim))
 
 
 def _displacement(beta: complex, work_dim: int) -> np.ndarray:
@@ -189,26 +187,20 @@ def _displacement(beta: complex, work_dim: int) -> np.ndarray:
     return (vec * np.exp(1j * lam)) @ vec.conj().T
 
 
-def displaced_number_operator(
-    beta: complex, n: int, dim: int, work_dim: int | None = None
-) -> np.ndarray:
-    """Top-left dim-block of the displaced number projector D(b)|n><n|D(b)^+.
+def _displaced_columns(beta: complex, n_detect: int, dim: int) -> np.ndarray:
+    """D(b)|n> on the first dim levels for n < n_detect, shape [dim, n_detect];
+    the ladder's dim + 4 ceil(|b|^2) + 20 levels (or n_detect, if more) keep
+    truncation error in D(b)'s dim-block below ~1e-9."""
+    work_dim = max(dim + 4 * math.ceil(abs(beta) ** 2) + 20, n_detect)
+    return _displacement(beta, work_dim)[:dim, :n_detect]
 
-    The displacement is built on a work_dim truncated ladder (see
-    _displacement).  The lower bound on work_dim keeps truncation error in
-    the returned block below ~1e-9.
-    """
+
+def displaced_number_operator(beta: complex, n: int, dim: int) -> np.ndarray:
+    """Top-left dim-block of the displaced number projector D(b)|n><n|D(b)^+."""
     beta = complex(beta)
     if n < 0:
         raise ValueError("n must be non-negative")
     if dim < 1:
         raise ValueError("dim must be positive")
-    guard = _displacement_work_dim(dim, abs(beta))
-    if work_dim is None:
-        work_dim = max(guard, n + 1)
-    if work_dim < guard:
-        raise ValueError(f"work_dim {work_dim} below truncation guard {guard}")
-    if n >= work_dim:
-        raise ValueError("detector index n must lie inside the work space")
-    col = _displacement(beta, work_dim)[:dim, n]
+    col = _displaced_columns(beta, n + 1, dim)[:, n]
     return np.outer(col, col.conj())

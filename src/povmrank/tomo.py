@@ -15,13 +15,12 @@ to within ML_GAP_TOL nats.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import DensityMatrix, homodyne_pdf_grid
+from .fock import DensityMatrix, _checked_integer, _checked_phases, homodyne_pdf_grid
 from .povm import BinLayout, build_binned_quadrature_povm, default_x_max
 
 __all__ = [
@@ -55,16 +54,10 @@ class BinnedHomodyne:
     povms: tuple = field(init=False)
 
     def __post_init__(self):
-        phases = tuple(float(p) for p in self.phases)
-        if not phases:
-            raise ValueError("at least one phase is required")
-        if not all(map(math.isfinite, phases)):
-            raise ValueError("phases must be finite")
+        phases = _checked_phases(self.phases)
         if not isinstance(self.layout, BinLayout):
             raise TypeError("layout must be a BinLayout")
-        if isinstance(self.dim, bool) or not isinstance(self.dim, numbers.Integral):
-            raise TypeError("dim must be an integer")
-        dim = int(self.dim)
+        dim = _checked_integer(self.dim, "dim")
         povms = tuple(build_binned_quadrature_povm(t, self.layout, dim) for t in phases)
         object.__setattr__(self, "phases", phases)
         object.__setattr__(self, "dim", dim)
@@ -74,17 +67,16 @@ class BinnedHomodyne:
 @dataclass(frozen=True, eq=False)
 class MeasurementData:
     """Per-setting, per-bin event counts of one measurement, simulated or
-    measured; the estimator reads the POVM sets from it."""
+    measured; the estimator reads the POVM sets from it.  Every setting's
+    counts share one positive sum, ``total_per_setting``."""
 
     measurement: BinnedHomodyne
     counts: tuple  # of read-only int64 vectors, one per POVM set of the measurement
-    total_per_setting: int
+    total_per_setting: int = field(init=False)
 
     def __post_init__(self):
         if not isinstance(self.measurement, BinnedHomodyne):
             raise TypeError("measurement must be a BinnedHomodyne")
-        if self.total_per_setting < 1:
-            raise ValueError("total_per_setting must be positive")
         if len(self.counts) != len(self.measurement.povms):
             raise ValueError("one count vector per setting is required")
         counts = []
@@ -97,11 +89,13 @@ class MeasurementData:
                 raise ValueError("count vector length does not match the POVM set")
             if np.any(arr < 0):
                 raise ValueError("counts must be non-negative")
-            if int(arr.sum()) != self.total_per_setting:
-                raise ValueError("per-setting counts must sum to total_per_setting")
             arr.flags.writeable = False
             counts.append(arr)
+        totals = {int(arr.sum()) for arr in counts}
+        if len(totals) != 1 or min(totals) < 1:
+            raise ValueError("every setting's counts must have the same positive sum")
         object.__setattr__(self, "counts", tuple(counts))
+        object.__setattr__(self, "total_per_setting", totals.pop())
 
     @property
     def settings(self) -> tuple:
@@ -157,11 +151,10 @@ class ReconstructionResult:
 
 
 def _checked_seed(seed) -> int:
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
-        raise TypeError("seed must be an integer")
+    seed = _checked_integer(seed, "seed")
     if not 0 <= seed < MAX_SEED:
         raise ValueError("seed must be a 64-bit non-negative integer")
-    return int(seed)
+    return seed
 
 
 def sample_homodyne(rho: DensityMatrix, theta: float, n_samples: int, seed: int) -> np.ndarray:
@@ -212,9 +205,12 @@ def simulate_dataset(
     """Multinomial bin counts drawn from the exact Tr(rho E_j) for each phase.
 
     Setting i uses the derived seed (seed XOR i), so settings can be drawn
-    independently and the result does not depend on evaluation order.  Draws
-    outside the layout (possible only without overflow bins) are dropped.
+    independently and the result does not depend on evaluation order.  A
+    draw outside the layout (possible only without overflow bins) raises
+    ValueError, since the setting's counts would then fall short of
+    total_per_setting.
     """
+    total_per_setting = _checked_integer(total_per_setting, "total_per_setting")
     if total_per_setting < 1:
         raise ValueError("total_per_setting must be positive")
     seed = _checked_seed(seed)
@@ -223,12 +219,11 @@ def simulate_dataset(
     counts = []
     for i, p in enumerate(probs.reshape(len(measurement.phases), layout.n_elements)):
         outcomes = np.append(p, max(0.0, 1.0 - p.sum()))  # last: mass outside the layout
-        counts.append(np.random.default_rng(seed ^ i).multinomial(total_per_setting, outcomes)[:-1])
-    return MeasurementData(
-        measurement=measurement,
-        counts=counts,
-        total_per_setting=total_per_setting,
-    )
+        draw = np.random.default_rng(seed ^ i).multinomial(total_per_setting, outcomes)
+        if draw[-1]:
+            raise ValueError("draws fell outside the layout: counts must sum to total_per_setting")
+        counts.append(draw[:-1])
+    return MeasurementData(measurement=measurement, counts=counts)
 
 
 def _project_to_states(h: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -287,6 +288,23 @@ def test_simulate_reconstruct_accepts_extreme_finite_amplitudes(capsys):
     )
     assert code == 0
     assert json.loads(out)["fidelity"] >= 0.99
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["predict", "--d", "5", "--m", "3"],
+        ["table", "--d-max", "8", "--m-max", "6"],
+        ["rank", "--support", "0,400", "--m", "2"],
+        ["simulate-reconstruct", "--state", "coherent:0.7@8", "--m", "8", "--seed", "16"],
+    ],
+    ids=["predict", "table", "rank", "simulate-reconstruct"],
+)
+def test_cli_runs_do_not_warn(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
 
 
 def test_simulate_reconstruct_requires_seed():

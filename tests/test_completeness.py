@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from povmrank import completeness
 from povmrank import (
     BinLayout,
     MeasurementSpec,
@@ -106,7 +107,7 @@ def test_design_matrix_matches_outer_product_rows(indices):
     support = SupportSet(indices)
     spec = MeasurementSpec(support, default_phases(support, 3))
     sup = np.array(indices)
-    nodes = np.polynomial.hermite.hermgauss(2 * max(indices) + 2)[0]
+    nodes = completeness._hermgauss_nodes(2 * max(indices) + 2)
     psi = hermite_function_table(int(sup[-1]), nodes)[sup]
     rows = []
     for theta in spec.phases:
@@ -201,6 +202,14 @@ def test_rank_for_attaches_prediction_on_contiguous_support():
     rep = rank_for(SupportSet.contiguous(4), 2)
     assert rep.predicted_rank == 12
     assert rep.numerical_rank == 12
+
+
+@pytest.mark.parametrize("indices, rank", [((0, 400), 4), ((0, 1, 1000), 9)])
+def test_rank_for_reaches_high_fock_indices_without_warnings(indices, rank):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = rank_for(SupportSet(indices), 2)
+    assert report.numerical_rank == rank
 
 
 def test_rank_for_rejects_phase_count_mismatch():
@@ -347,9 +356,8 @@ def test_displaced_counting_requires_enough_outcomes():
 
 def test_displaced_counting_diagonalises_once_per_displacement(monkeypatch):
     betas, n_detect, dim = [0.5, 1.0j, 1.0 + 1.0j, -0.7], 12, 6
-    work_dim = max(dim + 4 * math.ceil(max(abs(b) for b in betas) ** 2) + 20, n_detect + 1)
     rows = [
-        hermitian_to_real_vector(displaced_number_operator(b, n, dim, work_dim))
+        hermitian_to_real_vector(displaced_number_operator(b, n, dim))
         for b in betas
         for n in range(n_detect)
     ]

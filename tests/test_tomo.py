@@ -16,6 +16,7 @@ from povmrank import (
     build_binned_quadrature_povm,
     default_x_max,
     fidelity,
+    homodyne_pdf_grid,
     ml_reconstruct,
     sample_homodyne,
     simulate_dataset,
@@ -150,6 +151,10 @@ def test_binned_homodyne_rejects_non_finite_phases_before_any_arithmetic(bad):
             BinnedHomodyne([0.0, bad], layout, 2)
         with pytest.raises(ValueError, match="phases must be finite"):
             ambiguity_witness(counterexample_states(), [bad], layout)
+        with pytest.raises(ValueError, match="phases must be finite"):
+            sample_homodyne(DensityMatrix.pure([1.0, 1.0]), bad, 5, seed=1)
+        with pytest.raises(ValueError, match="phases must be finite"):
+            homodyne_pdf_grid(DensityMatrix.pure([1.0, 1.0]), bad, [0.0, 1.0])
 
 
 def test_simulated_data_carry_the_sets_they_were_drawn_from():
@@ -172,31 +177,31 @@ def _one_setting(layout, dim=2):
 
 def test_measurement_data_validation():
     one = _one_setting(BinLayout(2.0, 2))
-    with pytest.raises(ValueError, match="sum"):
-        MeasurementData(measurement=one, counts=[[1, 1, 1, 1]], total_per_setting=5)
+    two = BinnedHomodyne([0.0, 1.0], BinLayout(2.0, 2), 2)
+    with pytest.raises(ValueError, match="same positive sum"):
+        MeasurementData(measurement=two, counts=[[1, 1, 1, 1], [2, 3, 0, 0]])
+    with pytest.raises(ValueError, match="same positive sum"):
+        MeasurementData(measurement=one, counts=[[0, 0, 0, 0]])
     with pytest.raises(ValueError, match="non-negative"):
-        MeasurementData(measurement=one, counts=[[-1, 3, 2, 1]], total_per_setting=5)
+        MeasurementData(measurement=one, counts=[[-1, 3, 2, 1]])
     with pytest.raises(ValueError, match="length"):
-        MeasurementData(measurement=one, counts=[[2, 3]], total_per_setting=5)
+        MeasurementData(measurement=one, counts=[[2, 3]])
     with pytest.raises(ValueError, match="one count vector per setting"):
-        MeasurementData(measurement=one, counts=[[2, 3, 0, 0]] * 2, total_per_setting=5)
+        MeasurementData(measurement=one, counts=[[2, 3, 0, 0]] * 2)
     with pytest.raises(TypeError, match="BinnedHomodyne"):
-        MeasurementData(measurement=one.povms, counts=[[2, 3, 0, 0]], total_per_setting=5)
+        MeasurementData(measurement=one.povms, counts=[[2, 3, 0, 0]])
 
 
 def test_measurement_data_rejects_counts_that_are_not_whole():
     layout = BinLayout(2.0, 2)
-    data = MeasurementData(
-        measurement=_one_setting(layout), counts=[[1.0, 1.0, 0.0, 0.0]],
-        total_per_setting=2,
-    )
+    data = MeasurementData(measurement=_one_setting(layout), counts=[[1.0, 1.0, 0.0, 0.0]])
     assert data.counts[0].tolist() == [1, 1, 0, 0]
     nan, inf = float("nan"), float("inf")
     for bad in ([1.9, 1.9, 0.9, 0.9], [nan, 2, 0, 0], [inf, 2, 0, 0], [1e30, 2, 0, 0]):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no cast warning on the way to the error
             with pytest.raises(ValueError, match="counts must be whole numbers"):
-                MeasurementData(measurement=_one_setting(layout), counts=[bad], total_per_setting=2)
+                MeasurementData(measurement=_one_setting(layout), counts=[bad])
 
 
 def test_simulate_dataset_uses_derived_seeds():
@@ -230,6 +235,13 @@ def test_simulate_without_overflow_rejects_lost_mass():
     rho = DensityMatrix.pure([1.0, 0.0])
     with pytest.raises(ValueError, match="sum to total_per_setting"):
         simulate_dataset(rho, [0.0], BinLayout(1.0, 3, include_overflow=False), 1000, seed=3)
+
+
+@pytest.mark.parametrize("total", [True, 10.5])
+def test_total_per_setting_must_be_an_integer(total):
+    rho = DensityMatrix.pure([1.0, 1.0])
+    with pytest.raises(TypeError, match="total_per_setting must be an integer"):
+        simulate_dataset(rho, [0.0], BinLayout(2.0, 3), total, seed=1)
 
 
 def test_simulate_validates_before_drawing(monkeypatch):
@@ -387,9 +399,7 @@ FAR_BINS = BinLayout(90.0, 3, include_overflow=False)
 
 
 def test_ml_flags_singular_bins():
-    data = MeasurementData(
-        measurement=_one_setting(FAR_BINS), counts=[[5, 95, 0]], total_per_setting=100
-    )
+    data = MeasurementData(measurement=_one_setting(FAR_BINS), counts=[[5, 95, 0]])
     with pytest.warns(RuntimeWarning, match="floored"):
         result = ml_reconstruct(data, max_iters=50)
     assert result.singular_data
@@ -398,9 +408,7 @@ def test_ml_flags_singular_bins():
 
 
 def test_ml_zero_probability_bin_without_counts_is_not_singular():
-    data = MeasurementData(
-        measurement=_one_setting(FAR_BINS), counts=[[0, 100, 0]], total_per_setting=100
-    )
+    data = MeasurementData(measurement=_one_setting(FAR_BINS), counts=[[0, 100, 0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         result = ml_reconstruct(data, max_iters=50)
