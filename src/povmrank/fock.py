@@ -8,6 +8,7 @@ operators used by the rank analysis.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -170,6 +171,9 @@ def hermite_function_table(n_max: int, x) -> np.ndarray:
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     xa = np.atleast_1d(np.asarray(x, dtype=float))
+    # psi_n vanishes to double precision beyond |x| = 2^30, where the Gaussian's
+    # binary exponent still fits an int64: +-inf and huge x give 0, NaN stays NaN
+    xa = np.maximum(np.minimum(xa, 2.0**30), -(2.0**30))
     table = np.empty((n_max + 1,) + xa.shape)
     for n, (p, exponent) in enumerate(_hermite_rows(n_max, xa)):
         np.ldexp(p, exponent, out=table[n])
@@ -245,6 +249,26 @@ def real_coordinates(ops) -> np.ndarray:
         ],
         axis=-1,
     )
+
+
+@functools.lru_cache(maxsize=16)
+def _upper_pairs(dim: int):
+    """np.triu_indices(dim, k=1), read-only, built once per dim."""
+    k, l = np.triu_indices(dim, k=1)
+    k.flags.writeable = l.flags.writeable = False
+    return k, l
+
+
+def _coordinates_to_hermitian(x) -> np.ndarray:
+    """The inverse of real_coordinates: x [..., s^2] -> Hermitian [..., s, s]."""
+    x = np.asarray(x, dtype=float)
+    dim = math.isqrt(x.shape[-1])
+    k, l = _upper_pairs(dim)
+    upper = (x[..., dim:dim + len(k)] + 1j * x[..., dim + len(k):]) / math.sqrt(2.0)
+    ops = np.zeros(x.shape[:-1] + (dim, dim), dtype=complex)
+    ops[..., k, l], ops[..., l, k] = upper, upper.conj()
+    ops[..., range(dim), range(dim)] = x[..., :dim]
+    return ops
 
 
 def hermitian_to_real_vector(op) -> np.ndarray:

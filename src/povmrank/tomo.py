@@ -2,11 +2,12 @@
 
 Informationally complete settings must recover the state operationally;
 incomplete ones must leave the corresponding ambiguities visible.  One Born
-map rho -> Tr(rho E_j) gives every bin probability: simulated counts are
+map p = B v(rho), B_j = v(E_j) in the real coordinates of
+fock.real_coordinates, gives every bin probability: simulated counts are
 multinomial draws from it (sample_homodyne and bin_samples are for raw
-samples), and the estimator maximizes L(rho) = sum_j n_j log p_j by
-accelerated projected gradient with restarts (Shang, Zhang and Ng, PRA 95,
-062336 (2017)).  It stops once the concavity bound
+samples), and the estimator maximizes L(rho) = sum_j n_j log p_j by a
+log-barrier Newton method (Boyd and Vandenberghe, Convex Optimization,
+ch. 11).  It stops once the concavity bound
 L_max - L(rho) <= N (lambda_max(R) - 1), R = sum_j (f_j / p_j) E_j
 (Glancy, Knill and Girard, NJP 14, 095017 (2012)), certifies the estimate
 to within ML_GAP_TOL nats.
@@ -20,7 +21,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import DensityMatrix, _checked_integer, _checked_phases, homodyne_pdf_grid
+from .fock import (
+    DensityMatrix,
+    _checked_integer,
+    _checked_phases,
+    _coordinates_to_hermitian,
+    homodyne_pdf_grid,
+    real_coordinates,
+)
 from .povm import BinLayout, build_binned_quadrature_povm, default_x_max
 
 __all__ = [
@@ -41,6 +49,8 @@ PROBABILITY_FLOOR = 1e-300
 MAX_SEED = 2**64
 ML_GAP_TOL = 0.1  # nats: the certified bound on L_max - L(estimate) that stops ML
 STOPS = ("certified", "max_iters", "singular")
+CENTRED_RISE = 0.25  # nats of (L + mu log det rho) / mu: a smaller Newton gain means centred
+BARRIER_FLOOR = 1e-3  # mu * dim at which centring stops shrinking mu
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,8 +205,8 @@ def bin_samples(samples, layout: BinLayout) -> np.ndarray:
 
 
 def _born_rows(povms) -> np.ndarray:
-    """B_j = conj(vec E_j): real(B @ vec rho) is Tr(rho E_j), (w @ B).conj() is sum_j w_j E_j."""
-    return np.concatenate([ps.elements.reshape(len(ps.elements), -1) for ps in povms]).conj()
+    """B_j = v(E_j), the real coordinates of every element: B @ v(rho) is Tr(rho E_j)."""
+    return real_coordinates(np.concatenate([ps.elements for ps in povms]))
 
 
 def simulate_dataset(
@@ -204,8 +214,9 @@ def simulate_dataset(
 ) -> MeasurementData:
     """Multinomial bin counts drawn from the exact Tr(rho E_j) for each phase.
 
-    Setting i uses the derived seed (seed XOR i), so settings can be drawn
-    independently and the result does not depend on evaluation order.  A
+    Setting i draws from its own stream, default_rng([seed, i]), so no two
+    (seed, setting) pairs share one and the result does not depend on
+    evaluation order.  A
     draw outside the layout (possible only without overflow bins) raises
     ValueError, since the setting's counts would then fall short of
     total_per_setting.
@@ -215,117 +226,106 @@ def simulate_dataset(
         raise ValueError("total_per_setting must be positive")
     seed = _checked_seed(seed)
     measurement = BinnedHomodyne(phases, layout, rho.dim)
-    probs = np.clip(np.real(_born_rows(measurement.povms) @ rho.entries.ravel()), 0.0, None)
+    probs = np.clip(_born_rows(measurement.povms) @ real_coordinates(rho.entries), 0.0, None)
     counts = []
     for i, p in enumerate(probs.reshape(len(measurement.phases), layout.n_elements)):
         outcomes = np.append(p, max(0.0, 1.0 - p.sum()))  # last: mass outside the layout
-        draw = np.random.default_rng(seed ^ i).multinomial(total_per_setting, outcomes)
+        draw = np.random.default_rng([seed, i]).multinomial(total_per_setting, outcomes)
         if draw[-1]:
             raise ValueError("draws fell outside the layout: counts must sum to total_per_setting")
         counts.append(draw[:-1])
     return MeasurementData(measurement=measurement, counts=counts)
 
 
-def _project_to_states(h: np.ndarray) -> np.ndarray:
-    """Nearest density matrix to the Hermitian h in Frobenius norm: its
-    eigenvalues projected onto the probability simplex."""
-    w, v = np.linalg.eigh(h)
-    # eigh sorts w ascending; the simplex shift tau comes from the largest r values
-    excess = np.cumsum(w[::-1]) - 1.0
-    r = np.flatnonzero(w[::-1] * np.arange(1, len(w) + 1) > excess)[-1]
-    x = np.maximum(w - excess[r] / (r + 1), 0.0)
-    return (v * x) @ v.conj().T
+def _congruence(s: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """s^+ A s for a stack of A: two products over the stack, 3x faster than stacked matmul."""
+    right = (ops.reshape(-1, len(s)) @ s).reshape(ops.shape).transpose(0, 2, 1)  # (A s)^T
+    return (right.reshape(-1, len(s)) @ s.conj()).reshape(ops.shape).transpose(0, 2, 1)
 
 
 def ml_reconstruct(data: MeasurementData, *, max_iters: int = 5000) -> ReconstructionResult:
     """Maximum-likelihood estimate on the POVM sets data carries.
 
-    Accelerated projected gradient on L(rho) = sum_j n_j log p_j over the
-    observed bins (n_j > 0), from the maximally mixed state, with
-    deterministic step halving and momentum restarts, so the trace (L at the
-    start plus the rise of every step tried, 0 for a rejected one) never
-    decreases.  Stops "certified" once N (lambda_max(R) - 1) <= ML_GAP_TOL,
-    checked before the first step and after every accepted one, else
-    "max_iters".  p is floored at 1e-300; an observed bin at the floor stops
-    it "singular" and warns.
+    Newton's method on L(rho) + mu log det rho under Tr rho = 1, L summed
+    over the observed bins (n_j > 0), from I / dim with mu = N / dim.  mu
+    shrinks tenfold once the iterate is centred (a Newton step would raise
+    the objective over mu by under CENTRED_RISE nats), down to
+    mu dim = BARRIER_FLOOR, and further while the step would not raise L.
+    Backtracking keeps rho > 0 and takes a step only if L rises and the
+    objective rises enough, so the trace (L at the start plus the rise of
+    each Newton step, 0 for a failed line search) never decreases.  Stops
+    "certified" once N (lambda_max(R) - 1) <= ML_GAP_TOL, checked before the
+    first step and after every one, else "max_iters"; an observed bin whose
+    p reaches the 1e-300 floor stops it "singular" and warns.
     """
     if max_iters < 0:
         raise ValueError("max_iters must be non-negative")
-    born = _born_rows(data.measurement.povms)
     dim = data.measurement.dim
     counts = np.concatenate(data.counts).astype(float)
     total = counts.sum()
-    frequencies = counts / total
     seen = np.flatnonzero(counts)
     seen_counts = counts[seen]
-    born_seen = born[seen]
+    born = _born_rows(data.measurement.povms)[seen]
+    elements = np.concatenate([ps.elements for ps in data.measurement.povms])[seen]
+    unit, eye = real_coordinates(np.eye(dim)), np.eye(dim * dim)  # v(I), and I on y
+    bordered = np.zeros((dim * dim + 1,) * 2)  # [H, c; c^T, 0]: Newton under c . y = 0
 
-    def probabilities(rho):  # floored, since R divides by them
-        return np.maximum(np.real(born @ rho.ravel()), PROBABILITY_FLOOR)
-
-    def rise(p, move):
-        # L(x + move) - L(x) from p = p(x) and the change of p itself, exact to
-        # rounding of the rise: near the optimum rises fall below the rounding
-        # of L(x) (2e-10 at |L| = 1e6), where L(x + move) - L(x) is noise
-        dp = np.real(born_seen @ move.ravel())
-        return math.fsum((seen_counts * np.log1p(dp / p[seen])).tolist())
-
-    def gradient(p):  # R = sum_j (f_j / p_j) E_j, the gradient of L / N
-        r_op = ((frequencies / p) @ born).conj().reshape(dim, dim)
-        return 0.5 * (r_op + r_op.conj().T)
-
-    def gap(r_op):
+    def gap(p):  # N (lambda_max(R) - 1), R = sum_j (f_j / p_j) E_j
+        r_op = ((seen_counts / (total * p)) @ elements.reshape(len(p), -1)).reshape(dim, dim)
         return total * (np.linalg.eigvalsh(r_op)[-1] - 1.0)
 
     rho = np.eye(dim, dtype=complex) / dim
-    p = probabilities(rho)
-    lowest = p[seen].min()
-    loglik = math.fsum((seen_counts * np.log(p[seen])).tolist())
-    grad = gradient(p)
-    bound = gap(grad)
+    p = np.maximum(born @ real_coordinates(rho), PROBABILITY_FLOOR)
+    bound = gap(p)
+    loglik = math.fsum((seen_counts * np.log(p)).tolist())
     trace = [loglik]
-    # the momentum point sigma, with its p, R and L(sigma) - L(rho)
-    base, base_p, base_grad, ahead = rho, p, grad, 0.0
-    theta, step = 1.0, 1.0
+    mu, mu_min = total / dim, BARRIER_FLOOR / dim
 
     for _ in range(max_iters):
-        if lowest <= PROBABILITY_FLOOR or bound <= ML_GAP_TOL:
+        if p.min() <= PROBABILITY_FLOOR or bound <= ML_GAP_TOL:
             break
-        cand = _project_to_states(base + step * base_grad)
-        p_cand = probabilities(cand)
-        lowest = min(lowest, p_cand[seen].min())
-        move = (cand - base).ravel()
-        gain = rise(base_p, move)
-        # sufficient rise L(cand) - L(sigma) >= N (<R, move> - |move|^2 / 2t), times 2t;
-        # written as "not >=" so that a NaN rise (p rounded below 0) also fails it
-        if not 2 * step * gain >= total * (2 * step * np.vdot(base_grad.ravel(), move).real
-                                           - np.vdot(move, move).real):
-            step *= 0.5  # too long for the local curvature
-        elif ahead + gain < 0:  # would lower L: restart the momentum from rho
-            if base is rho:  # no momentum to blame, only rounding
-                step *= 0.5
-            base, base_p, base_grad, ahead, theta = rho, p, grad, 0.0, 1.0
-        else:
-            prev, rho, p = rho, cand, p_cand
-            loglik += ahead + gain
-            grad = gradient(p)
-            bound = gap(grad)
-            step *= 1.25
-            theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
-            momentum = (theta - 1.0) / theta_next
-            theta = theta_next
-            base, base_p, base_grad, ahead = rho, p, grad, 0.0
-            if momentum > 0.0:
-                point = rho + momentum * (rho - prev)
-                point_p = probabilities(point)
-                if point_p[seen].min() > PROBABILITY_FLOOR:
-                    base, base_p, base_grad = point, point_p, gradient(point_p)
-                    ahead = rise(p, point - rho)
-                else:  # the momentum left the states every observed bin allows
-                    theta = 1.0
+        # Steps d_rho = S Y S^+ with S S^+ = rho: in y = v(Y) the barrier's
+        # Hessian is mu I however ill-conditioned rho is (Newton is affine invariant)
+        evals, evecs = np.linalg.eigh(rho)
+        scale = evecs * np.sqrt(evals)
+        scaled = real_coordinates(_congruence(scale, elements))  # v(S^+ E_j S)
+        grad = scaled.T @ (seen_counts / p)
+        weighted = scaled * (np.sqrt(seen_counts) / p)[:, None]
+        curvature = weighted.T @ weighted
+        bordered[-1, :dim] = bordered[:dim, -1] = evals  # Tr(S Y S^+) = Tr(Lambda Y)
+        while True:
+            bordered[:-1, :-1] = curvature + mu * eye
+            slope = grad + mu * unit
+            step = np.linalg.solve(bordered, np.append(slope, 0.0))[:-1]
+            decrement = slope @ step  # lambda^2: a Newton step gains about half of it
+            # centred on the scale of the objective over mu (self-concordant there);
+            # the ascent rule stops where mu is lost against the N-sized curvature
+            if mu > mu_min and decrement <= 2.0 * CENTRED_RISE * mu:
+                mu = max(mu / 10.0, mu_min)
+            elif grad @ step <= 0.0 and mu > total * np.finfo(float).eps:
+                mu /= 10.0
+            else:
+                break
+        ratio = (scaled @ step) / p  # dp_j / p_j
+        y = _coordinates_to_hermitian(step)
+        lam = np.linalg.eigvalsh(y)  # rho + t d_rho > 0 iff all 1 + t lam > 0
+        t, gain = 1.0, 0.0
+        for _ in range(50):  # the rise comes from dp / p: L(new) - L(old) would be rounding noise
+            if t * lam[0] > -1.0 and t * ratio.min() > -1.0:
+                rise = math.fsum((seen_counts * np.log1p(t * ratio)).tolist())
+                if rise > 0.0 and rise + mu * np.log1p(t * lam).sum() >= 0.01 * t * decrement:
+                    gain = rise
+                    break
+            t *= 0.5
+        if gain > 0.0:
+            move = scale @ (t * y) @ scale.conj().T
+            rho = rho + 0.5 * (move + move.conj().T)
+            p = np.maximum(p * (1.0 + t * ratio), PROBABILITY_FLOOR)  # p + B v(t d_rho)
+            bound = gap(p)
+            loglik += gain
         trace.append(loglik)
 
-    if lowest <= PROBABILITY_FLOOR:
+    if p.min() <= PROBABILITY_FLOOR:
         stop = "singular"
         warnings.warn(
             "zero-probability bins held non-zero counts; likelihood floored at 1e-300",
@@ -370,6 +370,6 @@ def ambiguity_witness(states, phases, layout: BinLayout) -> float:
         return 0.0
     born = _born_rows(BinnedHomodyne(phases, layout, dim).povms)
     # Tr((rho_s - rho_0) E_j): a copy of the first state gives exactly 0
-    rhos = np.stack([state.entries.ravel() for state in states])
-    shifts = np.real((rhos - rhos[0]) @ born.T)
+    rhos = real_coordinates(np.stack([state.entries for state in states]))
+    shifts = (rhos - rhos[0]) @ born.T
     return float(np.max(shifts.max(axis=0) - shifts.min(axis=0), initial=0.0))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -82,6 +83,18 @@ def test_hermite_function_stable_for_large_n():
     assert np.max(np.abs(vals)) < 1.0
     norm = np.trapezoid(vals * vals, xs)
     assert abs(norm - 1.0) < 1e-6
+
+
+def test_hermite_functions_vanish_at_infinity():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = hermite_function_table(3, [math.inf, -math.inf, 1e200, -1e300, 1.0])
+        pdf = homodyne_pdf_grid(DensityMatrix.pure([1.0, 1.0]), 0.0, [math.inf, -math.inf])
+    assert np.array_equal(table[:, :4], np.zeros((4, 4)))
+    assert np.array_equal(table[:, 4], hermite_function_table(3, [1.0])[:, 0])
+    assert np.array_equal(pdf, [0.0, 0.0])
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(hermite_function_table(3, [math.nan])).all()
 
 
 # ------------------------------------------------------------ homodyne_pdf_grid
@@ -268,6 +281,19 @@ def test_real_coordinates_batch_matches_single_operator_rows(rng):
         ref += [math.sqrt(2.0) * op[k, l].real for k, l in upper]
         ref += [math.sqrt(2.0) * op[k, l].imag for k, l in upper]
         assert np.array_equal(row, ref)
+
+
+def test_real_coordinates_and_their_inverse_round_trip(rng):
+    from povmrank.fock import _coordinates_to_hermitian
+
+    for dim in (1, 2, 5, 8):
+        ops = np.stack([_random_hermitian(rng, dim) for _ in range(4)])
+        ops /= np.linalg.norm(ops, axis=(1, 2), keepdims=True)
+        back = _coordinates_to_hermitian(real_coordinates(ops))
+        assert np.max(np.abs(back - ops)) <= 1e-15
+        assert np.array_equal(back, back.conj().swapaxes(1, 2))  # Hermitian exactly
+        x = rng.normal(size=(3, dim * dim))
+        assert np.max(np.abs(real_coordinates(_coordinates_to_hermitian(x)) - x)) <= 1e-15
 
 
 @pytest.mark.parametrize("entry", [(0, 1), (2, 0), (1, 1)])

@@ -14,6 +14,7 @@ from povmrank import (
     ambiguity_witness,
     bin_samples,
     build_binned_quadrature_povm,
+    coherent_amplitudes,
     default_x_max,
     fidelity,
     homodyne_pdf_grid,
@@ -215,6 +216,19 @@ def test_simulate_dataset_uses_derived_seeds():
         assert np.array_equal(a, b)
 
 
+def test_simulate_dataset_seeds_share_no_streams():
+    # a phase-invariant state gives every setting the same count distribution,
+    # so two settings that drew from one stream would give equal counts
+    dim, m = 3, 4
+    rho = DensityMatrix.pure([0.0, 1.0, 0.0])
+    layout = BinLayout(default_x_max(dim), 5)
+    phases = [j * math.pi / m for j in range(m)]
+    vectors = {tuple(vec.tolist())
+               for seed in range(m + 1)
+               for vec in simulate_dataset(rho, phases, layout, 1000, seed=seed).counts}
+    assert len(vectors) == m * (m + 1)
+
+
 def test_simulated_counts_follow_the_exact_bin_probabilities():
     # vacuum keeps erfc(1)/2 ~ 7.9 % of its mass in each overflow bin of
     # BinLayout(1.0, 3) at every phase
@@ -346,13 +360,40 @@ def test_ml_reports_its_certificate(rng, make_rho):
 
 
 def test_ml_certifies_criterion_6_data_quickly():
-    # a regression to a slow solver (the diluted R-rho-R iteration needed
-    # over a thousand iterations for the same bound) fails here
+    # a regression to a first-order solver fails here: the diluted R-rho-R
+    # iteration needed over a thousand iterations for the same bound, and
+    # projected gradient more than 60
     _rho_true, data = _criterion_6_data()
     result = ml_reconstruct(data)
     assert result.stop == "certified" and result.converged
     assert result.gap_bound <= 0.1
-    assert result.iterations <= 1000
+    assert result.iterations <= 60
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_ml_certifies_a_mixed_state_on_the_default_layout_quickly(seed):
+    # 7 bins for d = 4 are badly conditioned: projected gradient took 902-986
+    # iterations on these data sets; Newton steps do not feel the conditioning
+    dim = 4
+    layout = BinLayout(default_x_max(dim), 2 * dim - 1)
+    phases = [j * math.pi / dim for j in range(dim)]
+    data = simulate_dataset(DensityMatrix.maximally_mixed(dim), phases, layout, 20_000, seed=seed)
+    result = ml_reconstruct(data)
+    assert result.stop == "certified" and result.gap_bound <= 0.1
+    assert result.iterations <= 60
+
+
+def test_ml_certifies_ill_conditioned_d8_coherent_data_quickly():
+    # near-pure estimate on the 2d-1 layout, bins down to p ~ 1e-6: projected
+    # gradient ran out of its 5000 iterations here without a certificate
+    dim = 8
+    rho_true = DensityMatrix.pure(coherent_amplitudes(0.5 + 0.5j, dim))
+    phases, layout, _ = _ic_setup(dim)
+    data = simulate_dataset(rho_true, phases, layout, 100_000, seed=2)
+    result = ml_reconstruct(data)
+    assert result.stop == "certified" and result.gap_bound <= 0.1
+    assert result.iterations <= 60
+    assert fidelity(result.estimate, rho_true) >= 0.99
 
 
 def test_ml_stops_at_max_iters_without_a_certificate():
@@ -385,7 +426,7 @@ def test_ml_fidelity_improves_with_sample_size():
     medians = []
     for n in (1_000, 10_000, 100_000):
         fids = []
-        for seed in (1, 2, 3, 4, 5):
+        for seed in range(1, 21):
             data = simulate_dataset(rho_true, phases, layout, n, seed=seed)
             result = ml_reconstruct(data)
             fids.append(fidelity(result.estimate, rho_true))
