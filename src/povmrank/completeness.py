@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .fock import SupportSet, _checked_phases, hermite_function_table, real_coordinates
+from .fock import SupportSet, _checked_phases, _upper_pairs, hermite_function_table, real_coordinates
 from .povm import _displaced_columns
 
 __all__ = [
@@ -135,16 +135,42 @@ class RankReport:
         }
 
 
-@functools.lru_cache(maxsize=64)
 def _hermgauss_nodes(n: int) -> np.ndarray:
-    """Gauss-Hermite node positions of order n, read-only: the eigenvalues of
-    the Hermite Jacobi matrix (off-diagonal sqrt(k/2)), made exactly symmetric;
+    """Gauss-Hermite node positions of order n: the eigenvalues of the
+    Hermite Jacobi matrix (off-diagonal sqrt(k/2)), made exactly symmetric;
     no weights are formed, so nothing overflows at high order."""
     off = np.sqrt(np.arange(1, n) / 2.0)
     nodes = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
-    nodes = 0.5 * (nodes - nodes[::-1])
-    nodes.flags.writeable = False
-    return nodes
+    return 0.5 * (nodes - nodes[::-1])
+
+
+@functools.lru_cache(maxsize=32)
+def _positive_node_table(top: int) -> np.ndarray:
+    """psi_n, n = 0..top, at the top+1 positive Gauss-Hermite nodes of order
+    2*top+2, read-only.  The nodes come in exact +-x pairs, none at 0, and the
+    recurrence gives psi_n(-x) = (-1)^n psi_n(x) bit for bit, so this half
+    holds the whole table."""
+    table = hermite_function_table(top, _hermgauss_nodes(2 * top + 2)[top + 1 :])
+    table.flags.writeable = False
+    return table
+
+
+def _positive_rows(spec: MeasurementSpec):
+    """design_matrix's rows at the positive nodes, [phase, node, column], and
+    the mask of the columns whose Fock indices k + l are odd: at -x those
+    columns change sign and the others do not."""
+    sup = np.array(spec.support.indices)
+    psi = _positive_node_table(int(sup[-1]))[sup]
+    s, n_nodes = psi.shape
+    k, l = _upper_pairs(s)
+    pair = math.sqrt(2.0) * (psi[k] * psi[l]).T  # [node, pair]
+    angle = np.multiply.outer(spec.phases, sup[k] - sup[l])  # [phase, pair]
+    rows = np.empty((len(spec.phases), n_nodes, s * s))
+    rows[:, :, :s] = (psi * psi).T
+    rows[:, :, s : s + k.size] = np.cos(angle)[:, None, :] * pair
+    rows[:, :, s + k.size :] = np.sin(angle)[:, None, :] * pair
+    odd_pair = (sup[k] + sup[l]) % 2 == 1
+    return rows, np.concatenate([np.zeros(s, dtype=bool), odd_pair, odd_pair])
 
 
 def design_matrix(spec: MeasurementSpec) -> np.ndarray:
@@ -157,20 +183,18 @@ def design_matrix(spec: MeasurementSpec) -> np.ndarray:
     A row is the real coordinates of the rank-one quadrature projector
     compressed to the support, written in closed form: psi_k^2 on the
     diagonal, sqrt(2) psi_k psi_l times (cos, sin)((k-l) theta) for support
-    indices k < l.
+    indices k < l.  The rows at the negative nodes mirror those at the
+    positive ones, with the odd-(k+l) columns negated.
     """
-    sup = np.array(spec.support.indices)
-    top = int(sup[-1])
-    psi = hermite_function_table(top, _hermgauss_nodes(2 * top + 2))[sup]
-    s, n_nodes = psi.shape
-    k, l = np.triu_indices(s, k=1)
-    pair = math.sqrt(2.0) * (psi[k] * psi[l]).T  # [node, pair]
-    angle = np.multiply.outer(spec.phases, sup[k] - sup[l])  # [phase, pair]
-    rows = np.empty((len(spec.phases), n_nodes, s * s))
-    rows[:, :, :s] = (psi * psi).T
-    rows[:, :, s : s + k.size] = np.cos(angle)[:, None, :] * pair
-    rows[:, :, s + k.size :] = np.sin(angle)[:, None, :] * pair
-    return rows.reshape(-1, s * s)
+    rows, odd = _positive_rows(spec)
+    mirrored = rows[:, ::-1] * np.where(odd, -1.0, 1.0)
+    return np.concatenate([mirrored, rows], axis=1).reshape(-1, odd.size)
+
+
+def _certified(sv: np.ndarray, shape) -> RankReport:
+    """RankReport of the descending spectrum sv of a matrix of the given
+    shape.  Threshold: max(rows, cols) * sigma_max * 1e-12."""
+    return RankReport(sv, max(shape) * float(sv[0]) * RANK_RTOL)
 
 
 def numerical_rank(matrix) -> RankReport:
@@ -181,8 +205,26 @@ def numerical_rank(matrix) -> RankReport:
     mat = np.asarray(matrix, dtype=float)
     if mat.ndim != 2 or mat.size == 0:
         raise ValueError("matrix must be 2-D and non-empty")
-    sv = np.linalg.svd(mat, compute_uv=False)
-    return RankReport(sv, max(mat.shape) * float(sv[0]) * RANK_RTOL)
+    return _certified(np.linalg.svd(mat, compute_uv=False), mat.shape)
+
+
+def _parity_split_rank(spec: MeasurementSpec) -> RankReport:
+    """numerical_rank(design_matrix(spec)) from two half-size blocks.
+
+    With the rows at -x the rows at x with the odd columns negated, the
+    design matrix is orthogonally equivalent to sqrt(2) diag(E, O), E and O
+    the even and odd columns of the positive-node rows.  Its spectrum is
+    sqrt(2) times theirs, padded with exact zeros to min(rows, cols); the
+    threshold takes the full matrix's shape.
+    """
+    rows, odd = _positive_rows(spec)
+    rows = rows.reshape(-1, odd.size)
+    shape = (2 * rows.shape[0], rows.shape[1])
+    sv = math.sqrt(2.0) * np.concatenate(
+        [np.linalg.svd(rows[:, cols], compute_uv=False) for cols in (~odd, odd)]
+    )
+    sv = np.concatenate([np.sort(sv)[::-1], np.zeros(min(shape) - sv.size)])
+    return _certified(sv, shape)
 
 
 def rank_for(support: SupportSet, m: int, phases=None) -> RankReport:
@@ -190,7 +232,8 @@ def rank_for(support: SupportSet, m: int, phases=None) -> RankReport:
 
     Phases default to default_phases(support, m); explicit phases must
     number m.  The closed-form prediction is attached when the support is
-    contiguous 0..d-1.
+    contiguous 0..d-1.  The count is that of
+    numerical_rank(design_matrix(spec)), taken from its parity blocks.
     """
     if m < 1:
         raise ValueError("m must be positive")
@@ -199,7 +242,7 @@ def rank_for(support: SupportSet, m: int, phases=None) -> RankReport:
     spec = MeasurementSpec(support, phases)
     if len(spec.phases) != m:
         raise ValueError(f"m={m} does not match the {len(spec.phases)} phases given")
-    report = numerical_rank(design_matrix(spec))
+    report = _parity_split_rank(spec)
     if support.is_contiguous:
         report = replace(report, predicted_rank=predicted_rank(support.size, m))
     return report

@@ -134,10 +134,16 @@ class SupportSet:
         return self.indices == tuple(range(len(self.indices)))
 
 
+# log2 e^{-x^2/2} at the clamp |x| = 2^30 of hermite_function_table
+_LOG2_GAUSSIAN_FLOOR = (-0.5 / math.log(2.0)) * 2.0**60
+
+
 def _gaussian_seed(xa: np.ndarray):
     """pi^-1/4 e^{-x^2/2} as (mantissa, binary exponent), underflow-free."""
     t = (-0.5 / math.log(2.0)) * xa * xa
-    exponent = np.floor(t)
+    # fmax changes no clamped value; it gives NaN an exponent that casts to
+    # int64 without a warning, and its mantissa stays NaN
+    exponent = np.floor(np.fmax(t, _LOG2_GAUSSIAN_FLOOR))
     mantissa = np.pi ** -0.25 * np.exp2(t - exponent)
     return mantissa, exponent.astype(np.int64)
 
@@ -232,13 +238,14 @@ def real_coordinates(ops) -> np.ndarray:
     ops = np.asarray(ops)
     if ops.ndim < 2 or ops.shape[-1] != ops.shape[-2]:
         raise ValueError("operators must be square matrices")
-    k, l = np.triu_indices(ops.shape[-1], k=1)
+    k, l = _upper_pairs(ops.shape[-1])
     upper = ops[..., k, l]
     diag = np.diagonal(ops, axis1=-2, axis2=-1)
-    # max |A - A^+| entrywise, from the upper triangle and the diagonal
+    # max |A - A^+| entrywise, from the upper triangle and the diagonal,
+    # against 1e-10 max(1, largest |entry|); the scale is read only when needed
     asym = max(float(np.abs(upper - np.conj(ops[..., l, k])).max(initial=0.0)),
                2.0 * float(np.abs(np.imag(diag)).max(initial=0.0)))
-    if asym > 1e-10:
+    if asym > 1e-10 and asym > 1e-10 * float(np.abs(ops).max()):
         raise ValueError(f"operator is not Hermitian (max asymmetry {asym:.3e})")
     sq2 = math.sqrt(2.0)
     return np.concatenate(

@@ -212,6 +212,45 @@ def test_rank_for_reaches_high_fock_indices_without_warnings(indices, rank):
     assert report.numerical_rank == rank
 
 
+def _assert_rank_for_matches_full_svd(support, m, phases=None):
+    """rank_for's parity blocks against the SVD of the whole design matrix."""
+    report = rank_for(support, m, phases)
+    matrix = design_matrix(MeasurementSpec(support, phases or default_phases(support, m)))
+    full = numerical_rank(matrix)
+    assert report.numerical_rank == full.numerical_rank
+    assert report.singular_values.size == full.singular_values.size == min(matrix.shape)
+    top = full.singular_values[: full.numerical_rank]
+    assert np.max(np.abs(report.singular_values[: top.size] - top)) <= 1e-13 * top[0]
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_rank_for_matches_full_svd_on_the_acceptance_grid(d):
+    rng = np.random.default_rng([d, 17])
+    support = SupportSet.contiguous(d)
+    for m in range(1, 13):
+        _assert_rank_for_matches_full_svd(support, m)
+        _assert_rank_for_matches_full_svd(support, m, list(np.sort(rng.random(m) * math.pi)))
+
+
+@pytest.mark.parametrize("d, m_values", [(15, range(6, 13)), (16, range(1, 9))])
+def test_rank_for_matches_full_svd_on_the_continuous_fault_cells(d, m_values):
+    # both oracles come out one short of m(2d-m) here: the fault is in the
+    # node representation, not in the SVD
+    for m in m_values:
+        _assert_rank_for_matches_full_svd(SupportSet.contiguous(d), m)
+
+
+@pytest.mark.parametrize(
+    "indices", [(0, 4, 8), (0, 2, 4, 6), (1, 2), (3, 4, 5, 7), (0, 1, 5, 9, 10), (2,), (0, 400)]
+)
+def test_rank_for_matches_full_svd_on_sparse_supports(indices):
+    rng = np.random.default_rng(list(indices))
+    support = SupportSet(indices)
+    for m in range(1, 5):
+        _assert_rank_for_matches_full_svd(support, m)
+        _assert_rank_for_matches_full_svd(support, m, list(np.sort(rng.random(m) * math.pi)))
+
+
 def test_rank_for_rejects_phase_count_mismatch():
     # the prediction would otherwise be m(2d-m) for an m the phases do not have
     with pytest.raises(ValueError, match="m=1"):

@@ -90,11 +90,24 @@ def test_hermite_functions_vanish_at_infinity():
         warnings.simplefilter("error")
         table = hermite_function_table(3, [math.inf, -math.inf, 1e200, -1e300, 1.0])
         pdf = homodyne_pdf_grid(DensityMatrix.pure([1.0, 1.0]), 0.0, [math.inf, -math.inf])
+        nan_table = hermite_function_table(3, [math.nan, 1.0])
     assert np.array_equal(table[:, :4], np.zeros((4, 4)))
     assert np.array_equal(table[:, 4], hermite_function_table(3, [1.0])[:, 0])
     assert np.array_equal(pdf, [0.0, 0.0])
-    with np.errstate(invalid="ignore"):
-        assert np.isnan(hermite_function_table(3, [math.nan])).all()
+    assert np.isnan(nan_table[:, 0]).all()
+    assert np.array_equal(nan_table[:, 1], table[:, 4])
+
+
+@pytest.mark.parametrize("top", [0, 1, 5, 15, 59, 400])
+def test_hermite_functions_mirror_bit_for_bit_at_gauss_hermite_nodes(top):
+    # psi_n(-x) = (-1)^n psi_n(x) exactly at the +-x node pairs: the rank
+    # oracle and design_matrix keep only the positive half of the table
+    from povmrank.completeness import _hermgauss_nodes
+
+    nodes = _hermgauss_nodes(2 * top + 2)
+    assert np.array_equal(nodes, -nodes[::-1]) and not np.any(nodes == 0.0)
+    sign = (-1.0) ** np.arange(top + 1)[:, None]
+    assert np.array_equal(hermite_function_table(top, -nodes), sign * hermite_function_table(top, nodes))
 
 
 # ------------------------------------------------------------ homodyne_pdf_grid
@@ -302,6 +315,29 @@ def test_real_coordinates_rejects_one_non_hermitian_element(rng, entry):
     batch[(2, *entry)] += 1e-6j
     with pytest.raises(ValueError, match="Hermitian"):
         real_coordinates(batch)
+
+
+def test_real_coordinates_accept_a_large_norm_hermitian_operator(rng):
+    # W G W with W the inverse of a d = 8 state whose smallest eigenvalues
+    # are 5e-6 to 2e-5: entries near 1e9 carry a rounding asymmetry far
+    # above 1e-10 but near 1e-12 of the largest entry
+    q, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+    eig = np.array([5e-6, 1e-5, 2e-5, 0.1, 0.15, 0.2, 0.25, 0.3])
+    w = np.linalg.inv((q * (eig / eig.sum())) @ q.conj().T)
+    g = np.zeros((8, 8), dtype=complex)
+    g[1, 6] = g[6, 1] = 1.0 / math.sqrt(2.0)
+    op = w @ g @ w
+    asym = np.max(np.abs(op - op.conj().T))
+    assert asym > 1e-10 and asym < 1e-11 * np.max(np.abs(op))
+    herm = 0.5 * (op + op.conj().T)
+    assert np.max(np.abs(real_coordinates(op) - real_coordinates(herm))) <= asym
+
+
+def test_real_coordinates_reject_a_large_norm_operator_off_by_1e_6(rng):
+    op = 1e9 * _random_hermitian(rng, 4) / 4.0
+    op[0, 2] += 1e-6 * np.max(np.abs(op))
+    with pytest.raises(ValueError, match="Hermitian"):
+        real_coordinates(op)
 
 
 # ----------------------------------------------------------------------- types
