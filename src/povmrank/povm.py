@@ -1,7 +1,9 @@
 """Finite POVM construction on truncated Fock subspaces.
 
 Binned quadrature projectors and displaced photon-number detectors; a set
-is one read-only element stack with the identity deficit it always computes.
+is one read-only element stack with its identity deficit.  A quadrature
+set at phase theta is the phase-zero set turned by the phase shifter, so
+``PovmSet.rotated`` gives it without a new build or new checks.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import hermite_function_table
+from .fock import _checked_integer, _checked_phases, hermite_function_table
 
 __all__ = [
     "BinLayout",
@@ -56,6 +58,12 @@ def _antiderivative(x: np.ndarray, dim: int) -> np.ndarray:
     return g
 
 
+def _phase_shift(theta: float, dim: int) -> np.ndarray:
+    """e^{i(k-l)theta}: entrywise, it conjugates an operator by diag(e^{in theta})."""
+    phase = np.exp(1j * theta * np.arange(dim))
+    return np.outer(phase, phase.conj())
+
+
 def quadrature_bin_operator(theta: float, a, b, dim: int) -> np.ndarray:
     """Quadrature projectors integrated over the bin [a, b] on dim levels.
 
@@ -70,6 +78,8 @@ def quadrature_bin_operator(theta: float, a, b, dim: int) -> np.ndarray:
     stack of their bins, shape a.shape + (dim, dim), with G evaluated once
     per distinct finite endpoint.
     """
+    (theta,) = _checked_phases((theta,))
+    dim = _checked_integer(dim, "dim")
     if dim < 1:
         raise ValueError("dim must be positive")
     a = np.asarray(a, dtype=float)
@@ -88,8 +98,7 @@ def quadrature_bin_operator(theta: float, a, b, dim: int) -> np.ndarray:
     g_a, g_b = g[where.reshape(2, -1)]
     bins = g_b - g_a
     bins[right.ravel()] *= (-1.0) ** np.add.outer(np.arange(dim), np.arange(dim))
-    phase = np.exp(1j * theta * np.arange(dim))
-    return bins.reshape(a.shape + (dim, dim)) * np.outer(phase, phase.conj())
+    return bins.reshape(a.shape + (dim, dim)) * _phase_shift(theta, dim)
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,8 +108,8 @@ class PovmSet:
     ``elements`` is one read-only complex array of shape [n, dim, dim],
     checked once at construction; dim is read off its first element.  A set
     carries no name, and whoever built it knows its setting.  ``deficit`` is
-    the spectral norm of (identity - sum of elements), always computed from
-    that array.
+    the spectral norm of (identity - sum of elements), computed from that
+    array at construction or carried unchanged by ``rotated``.
     """
 
     elements: np.ndarray
@@ -130,6 +139,22 @@ class PovmSet:
     @property
     def dim(self) -> int:
         return self.elements.shape[-1]
+
+    def rotated(self, theta: float) -> "PovmSet":
+        """The set U E U^+ with U = diag(e^{i n theta}), the phase shifter.
+
+        The multiplier e^{i(k-l)theta} is exactly conjugate-symmetric, so
+        Hermiticity holds bit for bit, and a unitary conjugation keeps every
+        spectrum and the deficit, so the checks are not run again and the
+        deficit is carried over.
+        """
+        (theta,) = _checked_phases((theta,))
+        els = self.elements * _phase_shift(theta, self.dim)
+        els.flags.writeable = False
+        turned = object.__new__(PovmSet)
+        object.__setattr__(turned, "elements", els)
+        object.__setattr__(turned, "deficit", self.deficit)
+        return turned
 
 
 @dataclass(frozen=True)

@@ -56,7 +56,8 @@ BARRIER_FLOOR = 1e-3  # mu * dim at which centring stops shrinking mu
 @dataclass(frozen=True, eq=False)
 class BinnedHomodyne:
     """Binned homodyne on dim levels, one layout at every phase, with the one
-    POVM set per phase that ``povms`` always builds from them."""
+    POVM set per phase that ``povms`` always builds from them: one set is
+    built and checked at phase 0, and each phase's set is its exact rotation."""
 
     phases: tuple
     layout: BinLayout
@@ -68,7 +69,8 @@ class BinnedHomodyne:
         if not isinstance(self.layout, BinLayout):
             raise TypeError("layout must be a BinLayout")
         dim = _checked_integer(self.dim, "dim")
-        povms = tuple(build_binned_quadrature_povm(t, self.layout, dim) for t in phases)
+        base = build_binned_quadrature_povm(0.0, self.layout, dim)
+        povms = tuple(base.rotated(t) for t in phases)
         object.__setattr__(self, "phases", phases)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "povms", povms)
@@ -258,6 +260,7 @@ def ml_reconstruct(data: MeasurementData, *, max_iters: int = 5000) -> Reconstru
     first step and after every one, else "max_iters"; an observed bin whose
     p reaches the 1e-300 floor stops it "singular" and warns.
     """
+    max_iters = _checked_integer(max_iters, "max_iters")
     if max_iters < 0:
         raise ValueError("max_iters must be non-negative")
     dim = data.measurement.dim

@@ -259,7 +259,7 @@ def test_simulate_reconstruct_warns_when_not_ic(capsys):
 
 
 @pytest.mark.parametrize("m", [1, 3])
-def test_simulate_reconstruct_builds_each_povm_set_once(capsys, monkeypatch, m):
+def test_simulate_reconstruct_builds_one_povm_set_per_measurement(capsys, monkeypatch, m):
     original = povmrank.povm.build_binned_quadrature_povm
     builds = []
 
@@ -278,7 +278,8 @@ def test_simulate_reconstruct_builds_each_povm_set_once(capsys, monkeypatch, m):
          "--samples", "500", "--seed", "3", "--max-iters", "5"],
     )
     assert code == 0
-    assert len(builds) == m
+    assert len(builds) == 1  # at phase 0; every phase's set is its rotation
+    assert builds[0][0] == 0.0
 
 
 def test_simulate_reconstruct_accepts_extreme_finite_amplitudes(capsys):

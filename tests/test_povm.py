@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -179,6 +180,68 @@ def test_binned_elements_phase_covariance():
     shifted = build_binned_quadrature_povm(0.2 + phi, layout, dim)
     for e0, e1 in zip(base.elements, shifted.elements):
         assert np.max(np.abs(e1 - rot @ e0 @ rot.conj().T)) < 1e-10
+
+
+# ---------------------------------------------------------------------- rotation
+
+ROTATION_PHASES = (0.0, 0.37, -1.1, 7.5)
+
+
+def rotation_layouts(dim):
+    x_max = default_x_max(dim)
+    return [
+        BinLayout(x_max, 2 * dim - 1),
+        BinLayout(x_max, 2 * dim - 1, include_overflow=False),
+        BinLayout(x_max, 4 * dim),
+    ]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5, 12, 30])
+def test_rotated_set_is_bit_identical_to_a_build_at_that_phase(dim):
+    for layout in rotation_layouts(dim):
+        base = build_binned_quadrature_povm(0.0, layout, dim)
+        for theta in ROTATION_PHASES:
+            turned = base.rotated(theta)
+            built = build_binned_quadrature_povm(theta, layout, dim)
+            assert np.array_equal(turned.elements, built.elements), (layout, theta)
+            assert not turned.elements.flags.writeable
+            checked = PovmSet(turned.elements)  # every check, run afresh
+            assert abs(checked.deficit - turned.deficit) <= 1e-15
+            assert turned.deficit == base.deficit
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5, 12, 30])
+def test_rotations_compose(dim):
+    # the phase arguments n * theta round to eps * dim * |theta| absolute
+    for layout in rotation_layouts(dim):
+        base = build_binned_quadrature_povm(0.0, layout, dim)
+        for a in ROTATION_PHASES:
+            for b in ROTATION_PHASES:
+                both = base.rotated(a).rotated(b).elements
+                tol = 1e-15 + np.finfo(float).eps * dim * (abs(a) + abs(b))
+                assert np.max(np.abs(both - base.rotated(a + b).elements)) <= tol, (a, b)
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_phases_that_are_not_finite_are_rejected(theta):
+    layout = BinLayout(default_x_max(3), 5)
+    base = build_binned_quadrature_povm(0.0, layout, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # rejected before any arithmetic
+        with pytest.raises(ValueError, match="phases must be finite"):
+            base.rotated(theta)
+        with pytest.raises(ValueError, match="phases must be finite"):
+            build_binned_quadrature_povm(theta, layout, 3)
+        with pytest.raises(ValueError, match="phases must be finite"):
+            quadrature_bin_operator(theta, -1.0, 1.0, 3)
+
+
+@pytest.mark.parametrize("dim", [2.0, True, "3", None])
+def test_dims_that_are_not_integers_are_rejected(dim):
+    with pytest.raises(TypeError, match="dim must be an integer"):
+        quadrature_bin_operator(0.0, -1.0, 1.0, dim)
+    with pytest.raises(TypeError, match="dim must be an integer"):
+        build_binned_quadrature_povm(0.0, BinLayout(3.0, 5), dim)
 
 
 # ---------------------------------------------------------------------- deficit

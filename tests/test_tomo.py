@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import povmrank.povm
 from povmrank import (
     BinLayout,
     BinnedHomodyne,
@@ -135,6 +136,24 @@ def test_binned_homodyne_builds_one_set_per_phase():
     with pytest.raises(TypeError, match="BinLayout"):
         BinnedHomodyne([0.0], {"x_max": layout.x_max, "n_bins": layout.n_bins}, 3)
     assert type(BinnedHomodyne([0.0], layout, np.int64(3)).dim) is int
+
+
+def test_binned_homodyne_builds_once_and_rotates(monkeypatch):
+    original = povmrank.povm.quadrature_bin_operator
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(povmrank.povm, "quadrature_bin_operator", counting)
+    layout = BinLayout(default_x_max(4), 7)
+    phases = [0.0, 0.4, 1.3, 2.2, 3.0]
+    measurement = BinnedHomodyne(phases, layout, 4)
+    assert calls == [0.0]
+    for theta, povm in zip(phases, measurement.povms):
+        built = build_binned_quadrature_povm(theta, layout, 4)
+        assert np.array_equal(povm.elements, built.elements)
 
 
 @pytest.mark.parametrize("dim", [3.0, True, "3", None])
@@ -404,6 +423,13 @@ def test_ml_stops_at_max_iters_without_a_certificate():
     start = ml_reconstruct(data, max_iters=0)
     assert start.iterations == 0 and start.stop == "max_iters"
     assert np.array_equal(start.estimate.entries, np.eye(3) / 3)
+
+
+@pytest.mark.parametrize("max_iters", [True, 2.5, "3", None])
+def test_ml_rejects_iteration_caps_that_are_not_integers(max_iters):
+    _rho_true, data = _criterion_6_data()
+    with pytest.raises(TypeError, match="max_iters must be an integer"):
+        ml_reconstruct(data, max_iters=max_iters)
 
 
 def test_ml_estimate_satisfies_state_invariants():
