@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .completeness import default_phases, povm_span_rank, predicted_rank, rank_for, sweep_table
+from .completeness import default_phases, numerical_rank, predicted_rank, rank_for, sweep_table
 from .fock import DensityMatrix, SupportSet, coherent_amplitudes
 from .povm import BinLayout, default_x_max
 from .tomo import fidelity, ml_reconstruct, simulate_dataset
@@ -142,7 +142,7 @@ def _cmd_simulate_reconstruct(args, parser) -> int:
         data = simulate_dataset(rho_true, phases, layout, args.samples, args.seed)
     except ValueError as exc:
         parser.error(str(exc))
-    span = povm_span_rank(data.measurement.povms)
+    span = numerical_rank(data.measurement.born)
     if span.numerical_rank < dim * dim:
         print(
             f"warning: measurement not IC: rank {span.numerical_rank} < {dim * dim}",

@@ -16,7 +16,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .fock import SupportSet, _checked_phases, _upper_pairs, hermite_function_table, real_coordinates
+from .fock import (
+    SupportSet, _checked_integer, _checked_phases, _upper_pairs, hermite_function_table,
+    real_coordinates,
+)
 from .povm import _displaced_columns
 
 __all__ = [
@@ -44,6 +47,7 @@ _GOLDEN_FRAC = (math.sqrt(5.0) - 1.0) / 2.0
 def predicted_rank(d: int, m: int) -> int:
     """Closed-form count of independent elements induced by m quadrature
     phases on the full d-level subspace: m(2d-m) for m < d, else d^2."""
+    d, m = _checked_integer(d, "d"), _checked_integer(m, "m")
     if d < 1 or m < 1:
         raise ValueError("d and m must be positive")
     if m >= d:
@@ -60,6 +64,7 @@ def default_phases(support: SupportSet, m: int) -> list:
     components, so those use golden-ratio placement, which avoids all such
     resonances.
     """
+    m = _checked_integer(m, "m")
     if m < 1:
         raise ValueError("m must be positive")
     if support.is_contiguous:
@@ -235,6 +240,7 @@ def rank_for(support: SupportSet, m: int, phases=None) -> RankReport:
     contiguous 0..d-1.  The count is that of
     numerical_rank(design_matrix(spec)), taken from its parity blocks.
     """
+    m = _checked_integer(m, "m")
     if m < 1:
         raise ValueError("m must be positive")
     if phases is None:
@@ -250,6 +256,7 @@ def rank_for(support: SupportSet, m: int, phases=None) -> RankReport:
 
 def min_phases_for_completeness(support: SupportSet, m_max: int) -> int | None:
     """Smallest m <= m_max whose default-phase rank reaches s^2, else None."""
+    m_max = _checked_integer(m_max, "m_max")
     if m_max < 1:
         raise ValueError("m_max must be positive")
     full = support.size**2
@@ -322,8 +329,8 @@ class SweepTable:
 
 def sweep_table(d_range, m_range) -> SweepTable:
     """Rank reports for every (d, m) cell, equispaced phases, ascending order."""
-    d_values = tuple(sorted(set(int(d) for d in d_range)))
-    m_values = tuple(sorted(set(int(m) for m in m_range)))
+    d_values = tuple(sorted({_checked_integer(d, "d") for d in d_range}))
+    m_values = tuple(sorted({_checked_integer(m, "m") for m in m_range}))
     if not d_values or not m_values:
         raise ValueError("ranges must be non-empty")
     if d_values[0] < 1 or m_values[0] < 1:
@@ -351,6 +358,7 @@ def displaced_counting_rank(betas, n_detect: int, dim: int) -> RankReport:
     betas = [complex(b) for b in betas]
     if not betas:
         raise ValueError("at least one displacement is required")
+    n_detect, dim = _checked_integer(n_detect, "n_detect"), _checked_integer(dim, "dim")
     if n_detect < dim:
         raise ValueError("n_detect must be at least dim")
     blocks = []

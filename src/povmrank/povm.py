@@ -2,8 +2,8 @@
 
 Binned quadrature projectors and displaced photon-number detectors; a set
 is one read-only element stack with its identity deficit.  A quadrature
-set at phase theta is the phase-zero set turned by the phase shifter, so
-``PovmSet.rotated`` gives it without a new build or new checks.
+bin at phase theta is the phase-zero bin turned by the phase shifter
+diag(e^{in theta}), entrywise a product with ``_phase_shift``.
 """
 
 from __future__ import annotations
@@ -109,7 +109,7 @@ class PovmSet:
     checked once at construction; dim is read off its first element.  A set
     carries no name, and whoever built it knows its setting.  ``deficit`` is
     the spectral norm of (identity - sum of elements), computed from that
-    array at construction or carried unchanged by ``rotated``.
+    array at construction.
     """
 
     elements: np.ndarray
@@ -139,22 +139,6 @@ class PovmSet:
     @property
     def dim(self) -> int:
         return self.elements.shape[-1]
-
-    def rotated(self, theta: float) -> "PovmSet":
-        """The set U E U^+ with U = diag(e^{i n theta}), the phase shifter.
-
-        The multiplier e^{i(k-l)theta} is exactly conjugate-symmetric, so
-        Hermiticity holds bit for bit, and a unitary conjugation keeps every
-        spectrum and the deficit, so the checks are not run again and the
-        deficit is carried over.
-        """
-        (theta,) = _checked_phases((theta,))
-        els = self.elements * _phase_shift(theta, self.dim)
-        els.flags.writeable = False
-        turned = object.__new__(PovmSet)
-        object.__setattr__(turned, "elements", els)
-        object.__setattr__(turned, "deficit", self.deficit)
-        return turned
 
 
 @dataclass(frozen=True)
@@ -223,6 +207,8 @@ def _displaced_columns(beta: complex, n_detect: int, dim: int) -> np.ndarray:
 def displaced_number_operator(beta: complex, n: int, dim: int) -> np.ndarray:
     """Top-left dim-block of the displaced number projector D(b)|n><n|D(b)^+."""
     beta = complex(beta)
+    n = _checked_integer(n, "n")
+    dim = _checked_integer(dim, "dim")
     if n < 0:
         raise ValueError("n must be non-negative")
     if dim < 1:

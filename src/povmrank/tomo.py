@@ -1,9 +1,9 @@
 """Homodyne data simulation and maximum-likelihood state reconstruction.
 
 Informationally complete settings must recover the state operationally;
-incomplete ones must leave the corresponding ambiguities visible.  One Born
-map p = B v(rho), B_j = v(E_j) in the real coordinates of
-fock.real_coordinates, gives every bin probability: simulated counts are
+incomplete ones must leave the corresponding ambiguities visible.  A
+measurement carries its Born matrix B_j = v(E_j) (fock.real_coordinates),
+so p = B v(rho) is every bin probability: simulated count matrices are
 multinomial draws from it (sample_homodyne and bin_samples are for raw
 samples), and the estimator maximizes L(rho) = sum_j n_j log p_j by a
 log-barrier Newton method (Boyd and Vandenberghe, Convex Optimization,
@@ -29,7 +29,7 @@ from .fock import (
     homodyne_pdf_grid,
     real_coordinates,
 )
-from .povm import BinLayout, build_binned_quadrature_povm, default_x_max
+from .povm import BinLayout, _phase_shift, build_binned_quadrature_povm, default_x_max
 
 __all__ = [
     "BinnedHomodyne",
@@ -55,59 +55,67 @@ BARRIER_FLOOR = 1e-3  # mu * dim at which centring stops shrinking mu
 
 @dataclass(frozen=True, eq=False)
 class BinnedHomodyne:
-    """Binned homodyne on dim levels, one layout at every phase, with the one
-    POVM set per phase that ``povms`` always builds from them: one set is
-    built and checked at phase 0, and each phase's set is its exact rotation."""
+    """Binned homodyne on dim levels, one layout at every phase: every phase's
+    bins, ascending, in one read-only stack ``elements`` [m * n_el, dim, dim],
+    and their real coordinates ``born`` (born @ v(rho) is Tr(rho E_j)).  One set
+    is built and checked at phase 0; each phase's block is its exact rotation."""
 
     phases: tuple
     layout: BinLayout
     dim: int
-    povms: tuple = field(init=False)
+    elements: np.ndarray = field(init=False)
+    born: np.ndarray = field(init=False)
 
     def __post_init__(self):
         phases = _checked_phases(self.phases)
         if not isinstance(self.layout, BinLayout):
             raise TypeError("layout must be a BinLayout")
         dim = _checked_integer(self.dim, "dim")
-        base = build_binned_quadrature_povm(0.0, self.layout, dim)
-        povms = tuple(base.rotated(t) for t in phases)
+        base = build_binned_quadrature_povm(0.0, self.layout, dim).elements
+        elements = np.concatenate([base * _phase_shift(t, dim) for t in phases])
+        born = real_coordinates(elements)
+        elements.flags.writeable = born.flags.writeable = False
         object.__setattr__(self, "phases", phases)
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "povms", povms)
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "born", born)
 
 
 @dataclass(frozen=True, eq=False)
 class MeasurementData:
-    """Per-setting, per-bin event counts of one measurement, simulated or
-    measured; the estimator reads the POVM sets from it.  Every setting's
-    counts share one positive sum, ``total_per_setting``."""
+    """Event counts of one measurement, simulated or measured: a read-only
+    int64 matrix, a row per setting and a column per bin like the elements.
+    Every row shares one positive sum, ``total_per_setting``."""
 
     measurement: BinnedHomodyne
-    counts: tuple  # of read-only int64 vectors, one per POVM set of the measurement
+    counts: np.ndarray
     total_per_setting: int = field(init=False)
 
     def __post_init__(self):
         if not isinstance(self.measurement, BinnedHomodyne):
             raise TypeError("measurement must be a BinnedHomodyne")
-        if len(self.counts) != len(self.measurement.povms):
+        shape = (len(self.measurement.phases), self.measurement.layout.n_elements)
+        if len(self.counts) != shape[0]:
             raise ValueError("one count vector per setting is required")
-        counts = []
-        for povm, vec in zip(self.measurement.povms, self.counts):
-            arr = np.asarray(vec)  # NaN and inf fail the bound, so the cast never sees them
-            if not (np.all(np.abs(arr) < 2.0**63) and np.array_equal(arr.astype(np.int64), arr)):
-                raise ValueError("counts must be whole numbers")
-            arr = arr.astype(np.int64)
-            if arr.size != len(povm.elements):
-                raise ValueError("count vector length does not match the POVM set")
-            if np.any(arr < 0):
-                raise ValueError("counts must be non-negative")
-            arr.flags.writeable = False
-            counts.append(arr)
-        totals = {int(arr.sum()) for arr in counts}
-        if len(totals) != 1 or min(totals) < 1:
+        try:
+            counts = np.array(self.counts)
+        except ValueError:  # ragged rows
+            counts = np.empty(0)
+        if counts.shape != shape:
+            raise ValueError("count vector length does not match the POVM set")
+        # NaN and inf fail the bound, so the cast never sees them
+        whole = counts.dtype.kind in "iuf" and np.all(np.abs(counts) < 2.0**63)
+        if not (whole and np.array_equal(counts.astype(np.int64), counts)):
+            raise ValueError("counts must be whole numbers")
+        counts = counts.astype(np.int64)
+        if np.any(counts < 0):
+            raise ValueError("counts must be non-negative")
+        totals = counts.sum(axis=1)
+        if totals[0] < 1 or np.any(totals != totals[0]):
             raise ValueError("every setting's counts must have the same positive sum")
-        object.__setattr__(self, "counts", tuple(counts))
-        object.__setattr__(self, "total_per_setting", totals.pop())
+        counts.flags.writeable = False
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "total_per_setting", int(totals[0]))
 
     @property
     def settings(self) -> tuple:
@@ -206,11 +214,6 @@ def bin_samples(samples, layout: BinLayout) -> np.ndarray:
     return np.concatenate([[left], inner, [right]]).astype(np.int64)
 
 
-def _born_rows(povms) -> np.ndarray:
-    """B_j = v(E_j), the real coordinates of every element: B @ v(rho) is Tr(rho E_j)."""
-    return real_coordinates(np.concatenate([ps.elements for ps in povms]))
-
-
 def simulate_dataset(
     rho: DensityMatrix, phases, layout: BinLayout, total_per_setting: int, seed: int
 ) -> MeasurementData:
@@ -228,7 +231,7 @@ def simulate_dataset(
         raise ValueError("total_per_setting must be positive")
     seed = _checked_seed(seed)
     measurement = BinnedHomodyne(phases, layout, rho.dim)
-    probs = np.clip(_born_rows(measurement.povms) @ real_coordinates(rho.entries), 0.0, None)
+    probs = np.clip(measurement.born @ real_coordinates(rho.entries), 0.0, None)
     counts = []
     for i, p in enumerate(probs.reshape(len(measurement.phases), layout.n_elements)):
         outcomes = np.append(p, max(0.0, 1.0 - p.sum()))  # last: mass outside the layout
@@ -246,7 +249,7 @@ def _congruence(s: np.ndarray, ops: np.ndarray) -> np.ndarray:
 
 
 def ml_reconstruct(data: MeasurementData, *, max_iters: int = 5000) -> ReconstructionResult:
-    """Maximum-likelihood estimate on the POVM sets data carries.
+    """Maximum-likelihood estimate on the POVM elements data carries.
 
     Newton's method on L(rho) + mu log det rho under Tr rho = 1, L summed
     over the observed bins (n_j > 0), from I / dim with mu = N / dim.  mu
@@ -264,12 +267,12 @@ def ml_reconstruct(data: MeasurementData, *, max_iters: int = 5000) -> Reconstru
     if max_iters < 0:
         raise ValueError("max_iters must be non-negative")
     dim = data.measurement.dim
-    counts = np.concatenate(data.counts).astype(float)
+    counts = data.counts.ravel().astype(float)
     total = counts.sum()
     seen = np.flatnonzero(counts)
     seen_counts = counts[seen]
-    born = _born_rows(data.measurement.povms)[seen]
-    elements = np.concatenate([ps.elements for ps in data.measurement.povms])[seen]
+    born = data.measurement.born[seen]
+    elements = data.measurement.elements[seen]
     unit, eye = real_coordinates(np.eye(dim)), np.eye(dim * dim)  # v(I), and I on y
     bordered = np.zeros((dim * dim + 1,) * 2)  # [H, c; c^T, 0]: Newton under c . y = 0
 
@@ -371,7 +374,7 @@ def ambiguity_witness(states, phases, layout: BinLayout) -> float:
     phases = tuple(phases)
     if not phases:  # no setting, so nothing tells the states apart
         return 0.0
-    born = _born_rows(BinnedHomodyne(phases, layout, dim).povms)
+    born = BinnedHomodyne(phases, layout, dim).born
     # Tr((rho_s - rho_0) E_j): a copy of the first state gives exactly 0
     rhos = real_coordinates(np.stack([state.entries for state in states]))
     shifts = (rhos - rhos[0]) @ born.T

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import povmrank
-from povmrank import SupportSet, rank_for
+from povmrank import BinLayout, SupportSet, build_binned_quadrature_povm, default_x_max, rank_for
 from povmrank.cli import main, parse_state_spec
 
 # The reference rank table, d rows 2..8, m columns 1..6.
@@ -280,6 +281,34 @@ def test_simulate_reconstruct_builds_one_povm_set_per_measurement(capsys, monkey
     assert code == 0
     assert len(builds) == 1  # at phase 0; every phase's set is its rotation
     assert builds[0][0] == 0.0
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_simulate_reconstruct_takes_the_born_matrix_once(capsys, monkeypatch, m):
+    # simulation, the IC check and ML all read the measurement's one Born matrix
+    original = povmrank.fock.real_coordinates
+    layout = BinLayout(default_x_max(3), 5)
+    stack = np.concatenate([build_binned_quadrature_povm(j * math.pi / m, layout, 3).elements
+                            for j in range(m)])
+    stacks = []
+
+    def counting(ops):
+        if np.shape(ops) == stack.shape and np.array_equal(ops, stack):
+            stacks.append(ops)
+        return original(ops)
+
+    for name, module in list(sys.modules.items()):
+        if name == "povmrank" or name.startswith("povmrank."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    code, _, _ = run_cli(
+        capsys,
+        ["simulate-reconstruct", "--state", "coherent:0.7@3", "--m", str(m),
+         "--samples", "500", "--seed", "3", "--max-iters", "5"],
+    )
+    assert code == 0
+    assert len(stacks) == 1
 
 
 def test_simulate_reconstruct_accepts_extreme_finite_amplitudes(capsys):

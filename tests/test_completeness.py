@@ -62,6 +62,29 @@ def test_predicted_rank_rejects_bad_input():
         predicted_rank(3, 0)
 
 
+@pytest.mark.parametrize(
+    "func, args, name",
+    [
+        (predicted_rank, (3.5, 1), "d"),
+        (predicted_rank, (3, True), "m"),
+        (sweep_table, ([2.7], [1]), "d"),
+        (sweep_table, ([2], [1, 2.0]), "m"),
+        (rank_for, (SupportSet.contiguous(2), True), "m"),
+        (rank_for, (SupportSet.contiguous(2), 2.0), "m"),
+        (rank_for, (SupportSet.contiguous(2), True, [0.0]), "m"),
+        (default_phases, (SupportSet.contiguous(3), 2.0), "m"),
+        (min_phases_for_completeness, (SupportSet.contiguous(3), 2.5), "m_max"),
+        (displaced_counting_rank, ([0.5], 3.0, 3), "n_detect"),
+        (displaced_counting_rank, ([0.5], 3, "3"), "dim"),
+        (displaced_number_operator, (0.5, 1, 2.0), "dim"),
+        (displaced_number_operator, (0.5, 1.0, 2), "n"),
+    ],
+)
+def test_counting_api_rejects_sizes_that_are_not_integers(func, args, name):
+    with pytest.raises(TypeError, match=f"^{name} must be an integer$"):
+        func(*args)
+
+
 def test_dimension_reduction_recursion_matches_closed_form():
     # sum_{k=1..m} (2(d-k+1) - 1) telescopes to m(2d-m), exact integers
     for d in range(1, 51):

@@ -89,8 +89,8 @@ def _value_objects():
         "DensityMatrix": (result.estimate, "entries", result.estimate.entries),
         "PovmSet": (povm, "deficit", povm.elements),
         "BinLayout": (layout, "n_bins", None),
-        "BinnedHomodyne": (measurement, "povms", measurement.povms[0].elements),
-        "MeasurementData": (data, "measurement", data.counts[0]),
+        "BinnedHomodyne": (measurement, "elements", measurement.elements),
+        "MeasurementData": (data, "counts", data.counts),
         "ReconstructionResult": (result, "log_likelihood_trace", None),
         "RankReport": (report, "singular_values", report.singular_values),
     }

@@ -8,12 +8,14 @@ from scipy.special import eval_hermite
 
 from povmrank import (
     BinLayout,
+    BinnedHomodyne,
     PovmSet,
     build_binned_quadrature_povm,
     coherent_amplitudes,
     default_x_max,
     displaced_number_operator,
     quadrature_bin_operator,
+    real_coordinates,
 )
 
 INF = math.inf
@@ -183,6 +185,8 @@ def test_binned_elements_phase_covariance():
 
 
 # ---------------------------------------------------------------------- rotation
+# BinnedHomodyne builds one set at phase 0 and turns it to every phase
+
 
 ROTATION_PHASES = (0.0, 0.37, -1.1, 7.5)
 
@@ -199,37 +203,44 @@ def rotation_layouts(dim):
 @pytest.mark.parametrize("dim", [1, 2, 5, 12, 30])
 def test_rotated_set_is_bit_identical_to_a_build_at_that_phase(dim):
     for layout in rotation_layouts(dim):
-        base = build_binned_quadrature_povm(0.0, layout, dim)
-        for theta in ROTATION_PHASES:
-            turned = base.rotated(theta)
+        measurement = BinnedHomodyne(ROTATION_PHASES, layout, dim)
+        n_el = layout.n_elements
+        assert measurement.elements.shape == (len(ROTATION_PHASES) * n_el, dim, dim)
+        for j, theta in enumerate(ROTATION_PHASES):  # setting-major, bins ascending
             built = build_binned_quadrature_povm(theta, layout, dim)
-            assert np.array_equal(turned.elements, built.elements), (layout, theta)
-            assert not turned.elements.flags.writeable
-            checked = PovmSet(turned.elements)  # every check, run afresh
-            assert abs(checked.deficit - turned.deficit) <= 1e-15
-            assert turned.deficit == base.deficit
+            block = measurement.elements[j * n_el : (j + 1) * n_el]
+            assert np.array_equal(block, built.elements), (layout, theta)
+        assert np.array_equal(measurement.born, real_coordinates(measurement.elements))
+        for array in (measurement.elements, measurement.born):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
 
 
 @pytest.mark.parametrize("dim", [1, 2, 5, 12, 30])
 def test_rotations_compose(dim):
+    # the block at a + b is the block at a turned by the phase shifter at b;
     # the phase arguments n * theta round to eps * dim * |theta| absolute
+    shifts = {b: np.diag(np.exp(1j * b * np.arange(dim))) for b in ROTATION_PHASES}
     for layout in rotation_layouts(dim):
-        base = build_binned_quadrature_povm(0.0, layout, dim)
+        n_el = layout.n_elements
         for a in ROTATION_PHASES:
-            for b in ROTATION_PHASES:
-                both = base.rotated(a).rotated(b).elements
+            at_a = BinnedHomodyne([a], layout, dim).elements
+            sums = [a + b for b in ROTATION_PHASES]
+            at_sums = BinnedHomodyne(sums, layout, dim).elements.reshape(-1, n_el, dim, dim)
+            for b, at_sum in zip(ROTATION_PHASES, at_sums):
+                turned = shifts[b] @ at_a @ shifts[b].conj().T
                 tol = 1e-15 + np.finfo(float).eps * dim * (abs(a) + abs(b))
-                assert np.max(np.abs(both - base.rotated(a + b).elements)) <= tol, (a, b)
+                assert np.max(np.abs(turned - at_sum)) <= tol, (a, b)
 
 
 @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
 def test_phases_that_are_not_finite_are_rejected(theta):
     layout = BinLayout(default_x_max(3), 5)
-    base = build_binned_quadrature_povm(0.0, layout, 3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # rejected before any arithmetic
         with pytest.raises(ValueError, match="phases must be finite"):
-            base.rotated(theta)
+            BinnedHomodyne([0.0, theta], layout, 3)
         with pytest.raises(ValueError, match="phases must be finite"):
             build_binned_quadrature_povm(theta, layout, 3)
         with pytest.raises(ValueError, match="phases must be finite"):

@@ -130,7 +130,8 @@ def test_binned_homodyne_builds_one_set_per_phase():
     layout = BinLayout(default_x_max(3), 5)
     measurement = BinnedHomodyne([0.0, 1, 2.5], layout, 3)
     assert measurement.phases == (0.0, 1.0, 2.5)
-    assert len(measurement.povms) == 3
+    assert measurement.elements.shape == (3 * layout.n_elements, 3, 3)
+    assert measurement.born.shape == (3 * layout.n_elements, 9)
     with pytest.raises(ValueError, match="at least one phase"):
         BinnedHomodyne([], layout, 3)
     with pytest.raises(TypeError, match="BinLayout"):
@@ -151,9 +152,9 @@ def test_binned_homodyne_builds_once_and_rotates(monkeypatch):
     phases = [0.0, 0.4, 1.3, 2.2, 3.0]
     measurement = BinnedHomodyne(phases, layout, 4)
     assert calls == [0.0]
-    for theta, povm in zip(phases, measurement.povms):
-        built = build_binned_quadrature_povm(theta, layout, 4)
-        assert np.array_equal(povm.elements, built.elements)
+    blocks = measurement.elements.reshape(len(phases), layout.n_elements, 4, 4)
+    for theta, block in zip(phases, blocks):
+        assert np.array_equal(block, build_binned_quadrature_povm(theta, layout, 4).elements)
 
 
 @pytest.mark.parametrize("dim", [3.0, True, "3", None])
@@ -183,9 +184,9 @@ def test_simulated_data_carry_the_sets_they_were_drawn_from():
     data = simulate_dataset(DensityMatrix.maximally_mixed(dim), phases, layout, 100, seed=6)
     assert data.settings == tuple((theta, layout) for theta in phases)
     assert data.measurement.dim == dim
-    for theta, povm in zip(phases, data.measurement.povms):
-        built = build_binned_quadrature_povm(theta, layout, dim)
-        assert np.array_equal(povm.elements, built.elements)
+    built = [build_binned_quadrature_povm(theta, layout, dim).elements for theta in phases]
+    assert np.array_equal(data.measurement.elements, np.concatenate(built))
+    assert data.counts.shape == (len(phases), layout.n_elements)
 
 
 # -------------------------------------------------------------- MeasurementData
@@ -208,8 +209,17 @@ def test_measurement_data_validation():
         MeasurementData(measurement=one, counts=[[2, 3]])
     with pytest.raises(ValueError, match="one count vector per setting"):
         MeasurementData(measurement=one, counts=[[2, 3, 0, 0]] * 2)
+    # ragged rows get the same messages, not numpy's "inhomogeneous shape"
+    with pytest.raises(ValueError, match="length"):
+        MeasurementData(measurement=two, counts=[[2, 3, 0, 0], [2, 3]])
+    with pytest.raises(ValueError, match="one count vector per setting"):
+        MeasurementData(measurement=two, counts=[[2, 3, 0, 0], [2, 3], [5]])
     with pytest.raises(TypeError, match="BinnedHomodyne"):
-        MeasurementData(measurement=one.povms, counts=[[2, 3, 0, 0]])
+        MeasurementData(measurement=one.elements, counts=[[2, 3, 0, 0]])
+    data = MeasurementData(measurement=two, counts=[[1, 1, 1, 1], [2, 2, 0, 0]])
+    assert data.counts.dtype == np.int64 and data.counts.shape == (2, 4)
+    assert not data.counts.flags.writeable
+    assert data.total_per_setting == 4
 
 
 def test_measurement_data_rejects_counts_that_are_not_whole():
@@ -217,7 +227,9 @@ def test_measurement_data_rejects_counts_that_are_not_whole():
     data = MeasurementData(measurement=_one_setting(layout), counts=[[1.0, 1.0, 0.0, 0.0]])
     assert data.counts[0].tolist() == [1, 1, 0, 0]
     nan, inf = float("nan"), float("inf")
-    for bad in ([1.9, 1.9, 0.9, 0.9], [nan, 2, 0, 0], [inf, 2, 0, 0], [1e30, 2, 0, 0]):
+    for bad in ([1.9, 1.9, 0.9, 0.9], [nan, 2, 0, 0], [inf, 2, 0, 0], [1e30, 2, 0, 0],
+                [1 + 0j, 1, 0, 0], [1 + 1j, 1, 0, 0], ["1", "1", "0", "0"], [1, 1, None, 0],
+                [True, True, False, False]):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no cast warning on the way to the error
             with pytest.raises(ValueError, match="counts must be whole numbers"):
@@ -336,8 +348,9 @@ def _project_by_bisection(h):
 
 def _certificate(rho, data):
     """(L(rho), N (lambda_max(R) - 1)) over the observed bins, from the elements."""
-    ops = np.concatenate([povm.elements for povm in data.measurement.povms])
-    counts = np.concatenate(data.counts).astype(float)
+    ops = np.concatenate([build_binned_quadrature_povm(theta, layout, len(rho)).elements
+                          for theta, layout in data.settings])
+    counts = data.counts.ravel().astype(float)
     seen = counts > 0
     p = np.real(np.einsum("kl,jlk->j", rho, ops[seen]))
     total = counts.sum()
@@ -489,7 +502,7 @@ def test_ml_final_loglik_sums_the_observed_bins():
     dim = 3
     phases, layout, povms = _ic_setup(dim)
     data = simulate_dataset(DensityMatrix.pure([1.0, 0.0, 0.0]), phases, layout, 300, seed=9)
-    counts = np.concatenate(data.counts)
+    counts = data.counts.ravel()
     assert np.any(counts == 0)
     result = ml_reconstruct(data, max_iters=200)
     ops = np.concatenate([povm.elements for povm in povms])
