@@ -5,7 +5,7 @@ prediction), rank (numerical rank report for a support), and
 simulate-reconstruct (sample -> bin -> maximum likelihood -> fidelity).
 
 Exit codes: 0 success/agreement, 1 verified disagreement between numerics
-and prediction, 2 usage error.
+and prediction, 2 usage error (an unwritable --out path among them).
 """
 
 from __future__ import annotations
@@ -47,9 +47,13 @@ def _write_output(text: str, path: str | None) -> None:
     text = text if text.endswith("\n") else text + "\n"
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text)
+    except OSError as exc:  # a usage error: exit 2, not 1 (disagreement)
+        print(f"povmrank: error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def parse_state_spec(spec: str, dim_override: int | None = None) -> DensityMatrix:

@@ -20,7 +20,7 @@ from .fock import (
     SupportSet, _checked_integer, _checked_phases, _upper_pairs, hermite_function_table,
     real_coordinates,
 )
-from .povm import _displaced_columns
+from .povm import _displaced_projectors
 
 __all__ = [
     "MeasurementSpec",
@@ -361,8 +361,5 @@ def displaced_counting_rank(betas, n_detect: int, dim: int) -> RankReport:
     n_detect, dim = _checked_integer(n_detect, "n_detect"), _checked_integer(dim, "dim")
     if n_detect < dim:
         raise ValueError("n_detect must be at least dim")
-    blocks = []
-    for beta in betas:
-        cols = _displaced_columns(beta, n_detect, dim).T  # D(b)|n>, n < n_detect
-        blocks.append(cols[:, :, None] * cols[:, None, :].conj())
+    blocks = [_displaced_projectors(beta, n_detect, dim) for beta in betas]
     return numerical_rank(real_coordinates(np.concatenate(blocks)))

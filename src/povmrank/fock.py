@@ -98,7 +98,7 @@ class DensityMatrix:
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityMatrix":
-        if dim < 1:
+        if _checked_integer(dim, "dim") < 1:
             raise ValueError("dim must be positive")
         return cls(np.eye(dim, dtype=complex) / dim)
 
@@ -121,7 +121,7 @@ class SupportSet:
 
     @classmethod
     def contiguous(cls, dim: int) -> "SupportSet":
-        if dim < 1:
+        if _checked_integer(dim, "dim") < 1:
             raise ValueError("dim must be positive")
         return cls(tuple(range(dim)))
 
@@ -174,7 +174,7 @@ def _hermite_rows(n_max: int, xa: np.ndarray):
 
 def hermite_function_table(n_max: int, x) -> np.ndarray:
     """All psi_n(x) for n = 0..n_max, shape (n_max+1, len(x))."""
-    if n_max < 0:
+    if _checked_integer(n_max, "n_max") < 0:
         raise ValueError("n_max must be non-negative")
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     # psi_n vanishes to double precision beyond |x| = 2^30, where the Gaussian's
@@ -202,7 +202,7 @@ def coherent_amplitudes(alpha: complex, n_cut: int) -> np.ndarray:
     Built by the stable recurrence c_{n+1} = c_n * alpha / sqrt(n+1),
     avoiding explicit factorials.
     """
-    if n_cut < 1:
+    if _checked_integer(n_cut, "n_cut") < 1:
         raise ValueError("n_cut must be positive")
     alpha = complex(alpha)
     c = np.zeros(n_cut, dtype=complex)
@@ -218,7 +218,7 @@ def photon_number_probability(alpha: complex, n: int) -> float:
     Depends on alpha only through |alpha|^2, so coherent states of equal
     amplitude and arbitrary phase give identical statistics.
     """
-    if n < 0:
+    if _checked_integer(n, "n") < 0:
         raise ValueError("n must be non-negative")
     alpha = complex(alpha)
     mu = alpha.real**2 + alpha.imag**2

@@ -1,9 +1,11 @@
 """Finite POVM construction on truncated Fock subspaces.
 
-Binned quadrature projectors and displaced photon-number detectors; a set
-is one read-only element stack with its identity deficit.  A quadrature
-bin at phase theta is the phase-zero bin turned by the phase shifter
-diag(e^{in theta}), entrywise a product with ``_phase_shift``.
+Binned quadrature projectors, the binned homodyne measurement and
+displaced photon-number detectors; a set is one read-only element stack
+with its identity deficit.  A quadrature bin at phase theta is the
+phase-zero bin turned by the phase shifter diag(e^{in theta}), entrywise a
+product with ``_phase_shift``, so a measurement builds one set and turns
+it to every phase.
 """
 
 from __future__ import annotations
@@ -14,10 +16,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import _checked_integer, _checked_phases, hermite_function_table
+from .fock import (
+    EIGENVALUE_FLOOR, _checked_integer, _checked_phases, hermite_function_table, real_coordinates,
+)
 
 __all__ = [
     "BinLayout",
+    "BinnedHomodyne",
     "PovmSet",
     "default_x_max",
     "quadrature_bin_operator",
@@ -26,7 +31,6 @@ __all__ = [
 ]
 
 ELEMENT_HERMITIAN_TOL = 1e-10
-ELEMENT_EIGENVALUE_FLOOR = -1e-10
 
 
 def default_x_max(dim: int) -> float:
@@ -129,7 +133,7 @@ class PovmSet:
         if asym > ELEMENT_HERMITIAN_TOL:
             raise ValueError(f"element is not Hermitian (max asymmetry {asym:.3e})")
         eig_min = float(np.min(np.linalg.eigvalsh(0.5 * (els + adjoint))))
-        if eig_min < ELEMENT_EIGENVALUE_FLOOR:
+        if eig_min < EIGENVALUE_FLOOR:
             raise ValueError(f"element is not PSD (min eigenvalue {eig_min:.3e})")
         els.flags.writeable = False
         deficit = float(np.linalg.norm(np.eye(dim) - np.sum(els, axis=0), ord=2))
@@ -184,24 +188,50 @@ def build_binned_quadrature_povm(theta: float, layout: BinLayout, dim: int) -> P
     return PovmSet(quadrature_bin_operator(theta, lo, hi, dim))
 
 
-def _displacement(beta: complex, work_dim: int) -> np.ndarray:
-    """D(b) = exp(b a^+ - b* a) on a work_dim truncated ladder, exponentiated
-    through the eigendecomposition of its Hermitian generator, which keeps
-    it exactly unitary."""
-    if beta == 0:
-        return np.eye(work_dim, dtype=complex)
-    lower = np.diag(np.sqrt(np.arange(1.0, work_dim)), 1)  # annihilation
-    generator = beta * lower.T - beta.conjugate() * lower
-    lam, vec = np.linalg.eigh(-1j * generator)
-    return (vec * np.exp(1j * lam)) @ vec.conj().T
+@dataclass(frozen=True, eq=False)
+class BinnedHomodyne:
+    """Binned homodyne on dim levels, one layout at every phase: every phase's
+    bins, ascending, in one read-only stack ``elements`` [m * n_el, dim, dim],
+    and their real coordinates ``born`` (born @ v(rho) is Tr(rho E_j)).  One set
+    is built and checked at phase 0; each phase's block is its exact rotation."""
+
+    phases: tuple
+    layout: BinLayout
+    dim: int
+    elements: np.ndarray = field(init=False)
+    born: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        phases = _checked_phases(self.phases)
+        if not isinstance(self.layout, BinLayout):
+            raise TypeError("layout must be a BinLayout")
+        dim = _checked_integer(self.dim, "dim")
+        base = build_binned_quadrature_povm(0.0, self.layout, dim).elements
+        elements = np.concatenate([base * _phase_shift(t, dim) for t in phases])
+        born = real_coordinates(elements)
+        elements.flags.writeable = born.flags.writeable = False
+        object.__setattr__(self, "phases", phases)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "born", born)
 
 
-def _displaced_columns(beta: complex, n_detect: int, dim: int) -> np.ndarray:
-    """D(b)|n> on the first dim levels for n < n_detect, shape [dim, n_detect];
-    the ladder's dim + 4 ceil(|b|^2) + 20 levels (or n_detect, if more) keep
-    truncation error in D(b)'s dim-block below ~1e-9."""
+def _displaced_projectors(beta: complex, n_detect: int, dim: int) -> np.ndarray:
+    """Top-left dim-blocks of D(b)|n><n|D(b)^+ for n < n_detect, shape
+    [n_detect, dim, dim].  D(b) = exp(b a^+ - b* a) is exponentiated on a
+    truncated ladder through the eigendecomposition of its Hermitian
+    generator, which keeps it exactly unitary; the ladder's
+    dim + 4 ceil(|b|^2) + 20 levels (or n_detect, if more) keep truncation
+    error in D(b)'s dim-block below ~1e-9."""
     work_dim = max(dim + 4 * math.ceil(abs(beta) ** 2) + 20, n_detect)
-    return _displacement(beta, work_dim)[:dim, :n_detect]
+    displacement = np.eye(work_dim, dtype=complex)
+    if beta != 0:
+        lower = np.diag(np.sqrt(np.arange(1.0, work_dim)), 1)  # annihilation
+        generator = beta * lower.T - beta.conjugate() * lower
+        lam, vec = np.linalg.eigh(-1j * generator)
+        displacement = (vec * np.exp(1j * lam)) @ vec.conj().T
+    cols = displacement[:dim, :n_detect].T  # D(b)|n>, n < n_detect
+    return cols[:, :, None] * cols[:, None, :].conj()
 
 
 def displaced_number_operator(beta: complex, n: int, dim: int) -> np.ndarray:
@@ -213,5 +243,4 @@ def displaced_number_operator(beta: complex, n: int, dim: int) -> np.ndarray:
         raise ValueError("n must be non-negative")
     if dim < 1:
         raise ValueError("dim must be positive")
-    col = _displaced_columns(beta, n + 1, dim)[:, n]
-    return np.outer(col, col.conj())
+    return _displaced_projectors(beta, n + 1, dim)[n]

@@ -1,16 +1,16 @@
 """Homodyne data simulation and maximum-likelihood state reconstruction.
 
 Informationally complete settings must recover the state operationally;
-incomplete ones must leave the corresponding ambiguities visible.  A
-measurement carries its Born matrix B_j = v(E_j) (fock.real_coordinates),
-so p = B v(rho) is every bin probability: simulated count matrices are
-multinomial draws from it (sample_homodyne and bin_samples are for raw
-samples), and the estimator maximizes L(rho) = sum_j n_j log p_j by a
-log-barrier Newton method (Boyd and Vandenberghe, Convex Optimization,
-ch. 11).  It stops once the concavity bound
-L_max - L(rho) <= N (lambda_max(R) - 1), R = sum_j (f_j / p_j) E_j
-(Glancy, Knill and Girard, NJP 14, 095017 (2012)), certifies the estimate
-to within ML_GAP_TOL nats.
+incomplete ones must leave the corresponding ambiguities visible.  The
+measurement, a povm.BinnedHomodyne, carries its Born matrix
+B_j = v(E_j) (fock.real_coordinates), so p = B v(rho) is every bin
+probability: simulated count matrices are multinomial draws from it
+(sample_homodyne and bin_samples are for raw samples), and the estimator
+maximizes L(rho) = sum_j n_j log p_j by a log-barrier Newton method (Boyd
+and Vandenberghe, Convex Optimization, ch. 11).  It stops once the
+concavity bound L_max - L(rho) <= N (lambda_max(R) - 1),
+R = sum_j (f_j / p_j) E_j (Glancy, Knill and Girard, NJP 14, 095017
+(2012)), certifies the estimate to within ML_GAP_TOL nats.
 """
 
 from __future__ import annotations
@@ -24,15 +24,13 @@ import numpy as np
 from .fock import (
     DensityMatrix,
     _checked_integer,
-    _checked_phases,
     _coordinates_to_hermitian,
     homodyne_pdf_grid,
     real_coordinates,
 )
-from .povm import BinLayout, _phase_shift, build_binned_quadrature_povm, default_x_max
+from .povm import BinLayout, BinnedHomodyne, default_x_max
 
 __all__ = [
-    "BinnedHomodyne",
     "MeasurementData",
     "ReconstructionResult",
     "sample_homodyne",
@@ -51,34 +49,6 @@ ML_GAP_TOL = 0.1  # nats: the certified bound on L_max - L(estimate) that stops 
 STOPS = ("certified", "max_iters", "singular")
 CENTRED_RISE = 0.25  # nats of (L + mu log det rho) / mu: a smaller Newton gain means centred
 BARRIER_FLOOR = 1e-3  # mu * dim at which centring stops shrinking mu
-
-
-@dataclass(frozen=True, eq=False)
-class BinnedHomodyne:
-    """Binned homodyne on dim levels, one layout at every phase: every phase's
-    bins, ascending, in one read-only stack ``elements`` [m * n_el, dim, dim],
-    and their real coordinates ``born`` (born @ v(rho) is Tr(rho E_j)).  One set
-    is built and checked at phase 0; each phase's block is its exact rotation."""
-
-    phases: tuple
-    layout: BinLayout
-    dim: int
-    elements: np.ndarray = field(init=False)
-    born: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        phases = _checked_phases(self.phases)
-        if not isinstance(self.layout, BinLayout):
-            raise TypeError("layout must be a BinLayout")
-        dim = _checked_integer(self.dim, "dim")
-        base = build_binned_quadrature_povm(0.0, self.layout, dim).elements
-        elements = np.concatenate([base * _phase_shift(t, dim) for t in phases])
-        born = real_coordinates(elements)
-        elements.flags.writeable = born.flags.writeable = False
-        object.__setattr__(self, "phases", phases)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "born", born)
 
 
 @dataclass(frozen=True, eq=False)

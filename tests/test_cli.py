@@ -97,6 +97,21 @@ def test_table_rejects_malformed_range():
     assert err.value.code == 2
 
 
+def assert_unwritable_out_is_usage_error(capsys, argv, path):
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--out", str(path)])
+    assert err.value.code == 2  # 1 would read as a verified disagreement
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert str(path) in captured.err and "Traceback" not in captured.err
+
+
+def test_table_unwritable_out_is_usage_error(capsys, tmp_path):
+    argv = ["table", "--d-max", "3", "--m-max", "2"]
+    assert_unwritable_out_is_usage_error(capsys, argv, tmp_path / "missing" / "t.csv")
+
+
 # ------------------------------------------------------------------------- rank
 
 
@@ -351,6 +366,13 @@ def test_simulate_reconstruct_rejects_out_of_range_seed(capsys, seed):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: seed must be a 64-bit non-negative integer" in captured.err
+
+
+def test_simulate_reconstruct_unwritable_out_is_usage_error(capsys, tmp_path):
+    argv = ["simulate-reconstruct", "--state", "coherent:0.5@3", "--m", "3",
+            "--samples", "1000", "--seed", "1"]
+    assert_unwritable_out_is_usage_error(capsys, argv, tmp_path / "missing" / "x.json")
+    assert_unwritable_out_is_usage_error(capsys, argv, tmp_path)  # a directory
 
 
 def test_simulate_reconstruct_is_deterministic(capsys, tmp_path):

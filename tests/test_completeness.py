@@ -7,9 +7,11 @@ import pytest
 from povmrank import completeness
 from povmrank import (
     BinLayout,
+    DensityMatrix,
     MeasurementSpec,
     SupportSet,
     build_binned_quadrature_povm,
+    coherent_amplitudes,
     default_phases,
     default_x_max,
     design_matrix,
@@ -19,6 +21,7 @@ from povmrank import (
     hermitian_to_real_vector,
     min_phases_for_completeness,
     numerical_rank,
+    photon_number_probability,
     povm_span_rank,
     predicted_rank,
     rank_for,
@@ -78,6 +81,13 @@ def test_predicted_rank_rejects_bad_input():
         (displaced_counting_rank, ([0.5], 3, "3"), "dim"),
         (displaced_number_operator, (0.5, 1, 2.0), "dim"),
         (displaced_number_operator, (0.5, 1.0, 2), "n"),
+        (photon_number_probability, (0.5, 1.5), "n"),
+        (photon_number_probability, (0.5, True), "n"),
+        (coherent_amplitudes, (0.5, 2.0), "n_cut"),
+        (hermite_function_table, (True, [0.1]), "n_max"),
+        (hermite_function_table, (2.5, [0.1]), "n_max"),
+        (SupportSet.contiguous, (2.0,), "dim"),
+        (DensityMatrix.maximally_mixed, (2.0,), "dim"),
     ],
 )
 def test_counting_api_rejects_sizes_that_are_not_integers(func, args, name):
