@@ -11,6 +11,7 @@ and prediction, 2 usage error (an unwritable --out path among them).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -43,17 +44,24 @@ def _phase_list(text: str) -> list:
     raise argparse.ArgumentTypeError(f"expected comma-separated finite reals, got {text!r}")
 
 
-def _write_output(text: str, path: str | None) -> None:
-    text = text if text.endswith("\n") else text + "\n"
+@contextlib.contextmanager
+def _output(path: str | None):
+    """stdout, or the --out file opened on entry so that an unwritable path fails
+    before the work: a usage error, exit 2, not 1 (disagreement)."""
     if path is None:
-        sys.stdout.write(text)
+        yield sys.stdout
         return
     try:
         with open(path, "w") as fh:
-            fh.write(text)
-    except OSError as exc:  # a usage error: exit 2, not 1 (disagreement)
+            yield fh
+    except OSError as exc:
         print(f"povmrank: error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
         raise SystemExit(2) from None
+
+
+def _write_output(text: str, path: str | None) -> None:
+    with _output(path) as out:
+        out.write(text if text.endswith("\n") else text + "\n")
 
 
 def parse_state_spec(spec: str, dim_override: int | None = None) -> DensityMatrix:
@@ -146,16 +154,14 @@ def _cmd_simulate_reconstruct(args, parser) -> int:
         data = simulate_dataset(rho_true, phases, layout, args.samples, args.seed)
     except ValueError as exc:
         parser.error(str(exc))
-    span = numerical_rank(data.measurement.born)
-    if span.numerical_rank < dim * dim:
-        print(
-            f"warning: measurement not IC: rank {span.numerical_rank} < {dim * dim}",
-            file=sys.stderr,
-        )
-    result = ml_reconstruct(data, max_iters=args.max_iters)
-    payload = result.to_json_dict()
-    payload["fidelity"] = fidelity(result.estimate, rho_true)
-    _write_output(json.dumps(payload), args.out)
+    with _output(args.out) as out:  # opened before the run, written after it
+        rank = numerical_rank(data.measurement.born).numerical_rank
+        if rank < dim * dim:
+            print(f"warning: measurement not IC: rank {rank} < {dim * dim}", file=sys.stderr)
+        result = ml_reconstruct(data, max_iters=args.max_iters)
+        payload = result.to_json_dict()
+        payload["fidelity"] = fidelity(result.estimate, rho_true)
+        out.write(json.dumps(payload) + "\n")
     return 0
 
 

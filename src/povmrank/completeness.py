@@ -5,7 +5,8 @@ The closed-form predictor m(2d-m) (capped at d^2) is checked against a
 numerical rank oracle: the quadrature probability functionals of a support
 and its phases, over the real parametrization of Hermitian operators on the
 support, form a design matrix whose singular spectrum certifies the count.
-Finite POVM sets, binned quadratures among them, go through povm_span_rank.
+Binned homodyne measurements go through povm_span_rank, the rank of the
+real span of their elements.
 """
 
 from __future__ import annotations
@@ -343,7 +344,8 @@ def sweep_table(d_range, m_range) -> SweepTable:
 
 
 def povm_span_rank(sets) -> RankReport:
-    """Rank of the real span of all elements of the given POVM sets."""
+    """Rank of the real span of all elements of the given measurements, each
+    with ``elements`` and ``dim`` (a BinnedHomodyne); no ``born`` is formed."""
     sets = list(sets)
     if not sets:
         raise ValueError("at least one POVM set is required")

@@ -1,15 +1,17 @@
 """Finite POVM construction on truncated Fock subspaces.
 
 Binned quadrature projectors, the binned homodyne measurement and
-displaced photon-number detectors; a set is one read-only element stack
-with its identity deficit.  A quadrature bin at phase theta is the
-phase-zero bin turned by the phase shifter diag(e^{in theta}), entrywise a
-product with ``_phase_shift``, so a measurement builds one set and turns
-it to every phase.
+displaced photon-number detectors.  A binned homodyne measurement is the
+one type that holds and checks binned elements: one read-only stack with
+its identity deficit.  A quadrature bin at phase theta is the phase-zero
+bin turned by the phase shifter diag(e^{in theta}), entrywise a product
+with ``_phase_shift``, so a measurement builds its bins once and turns
+them to every phase.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -23,14 +25,11 @@ from .fock import (
 __all__ = [
     "BinLayout",
     "BinnedHomodyne",
-    "PovmSet",
     "default_x_max",
     "quadrature_bin_operator",
     "build_binned_quadrature_povm",
     "displaced_number_operator",
 ]
-
-ELEMENT_HERMITIAN_TOL = 1e-10
 
 
 def default_x_max(dim: int) -> float:
@@ -105,46 +104,6 @@ def quadrature_bin_operator(theta: float, a, b, dim: int) -> np.ndarray:
     return bins.reshape(a.shape + (dim, dim)) * _phase_shift(theta, dim)
 
 
-@dataclass(frozen=True, eq=False)
-class PovmSet:
-    """POVM elements on a dim-level subspace plus a completeness certificate.
-
-    ``elements`` is one read-only complex array of shape [n, dim, dim],
-    checked once at construction; dim is read off its first element.  A set
-    carries no name, and whoever built it knows its setting.  ``deficit`` is
-    the spectral norm of (identity - sum of elements), computed from that
-    array at construction.
-    """
-
-    elements: np.ndarray
-    deficit: float = field(init=False)
-
-    def __post_init__(self):
-        if len(self.elements) == 0:
-            raise ValueError("a POVM set needs at least one element")
-        dim = len(self.elements[0])
-        if dim < 1 or any(np.shape(el) != (dim, dim) for el in self.elements):
-            raise ValueError(f"element shape does not match dim {dim}")
-        els = np.array(self.elements, dtype=complex)
-        if not np.isfinite(els).all():
-            raise ValueError("elements must be finite")
-        adjoint = els.conj().swapaxes(-1, -2)
-        asym = float(np.max(np.abs(els - adjoint)))
-        if asym > ELEMENT_HERMITIAN_TOL:
-            raise ValueError(f"element is not Hermitian (max asymmetry {asym:.3e})")
-        eig_min = float(np.min(np.linalg.eigvalsh(0.5 * (els + adjoint))))
-        if eig_min < EIGENVALUE_FLOOR:
-            raise ValueError(f"element is not PSD (min eigenvalue {eig_min:.3e})")
-        els.flags.writeable = False
-        deficit = float(np.linalg.norm(np.eye(dim) - np.sum(els, axis=0), ord=2))
-        object.__setattr__(self, "elements", els)
-        object.__setattr__(self, "deficit", deficit)
-
-    @property
-    def dim(self) -> int:
-        return self.elements.shape[-1]
-
-
 @dataclass(frozen=True)
 class BinLayout:
     """Equal-width partition of [-x_max, x_max], optionally flanked by two
@@ -182,38 +141,49 @@ class BinLayout:
         return finite
 
 
-def build_binned_quadrature_povm(theta: float, layout: BinLayout, dim: int) -> PovmSet:
+def build_binned_quadrature_povm(theta: float, layout: BinLayout, dim: int) -> BinnedHomodyne:
     """One operator per bin of the layout at phase theta, in ascending bin order."""
-    lo, hi = np.array(layout.intervals()).T
-    return PovmSet(quadrature_bin_operator(theta, lo, hi, dim))
+    return BinnedHomodyne((theta,), layout, dim)
 
 
 @dataclass(frozen=True, eq=False)
 class BinnedHomodyne:
     """Binned homodyne on dim levels, one layout at every phase: every phase's
-    bins, ascending, in one read-only stack ``elements`` [m * n_el, dim, dim],
-    and their real coordinates ``born`` (born @ v(rho) is Tr(rho E_j)).  One set
-    is built and checked at phase 0; each phase's block is its exact rotation."""
+    bins, ascending, in one read-only stack ``elements`` [m * n_el, dim, dim].
+    The phase-0 bins are built and checked PSD once; each phase's block is
+    their exact rotation, which keeps every spectrum and ``deficit``, the
+    spectral norm of (identity - sum of one phase's bins).  ``born``, the real
+    coordinates (born @ v(rho) is Tr(rho E_j)), is formed on first read."""
 
     phases: tuple
     layout: BinLayout
     dim: int
     elements: np.ndarray = field(init=False)
-    born: np.ndarray = field(init=False)
+    deficit: float = field(init=False)
 
     def __post_init__(self):
         phases = _checked_phases(self.phases)
         if not isinstance(self.layout, BinLayout):
             raise TypeError("layout must be a BinLayout")
         dim = _checked_integer(self.dim, "dim")
-        base = build_binned_quadrature_povm(0.0, self.layout, dim).elements
-        elements = np.concatenate([base * _phase_shift(t, dim) for t in phases])
-        born = real_coordinates(elements)
-        elements.flags.writeable = born.flags.writeable = False
+        base = quadrature_bin_operator(0.0, *np.array(self.layout.intervals()).T, dim)
+        eig_min = float(np.min(np.linalg.eigvalsh(base)))
+        if eig_min < EIGENVALUE_FLOOR:
+            raise ValueError(f"element is not PSD (min eigenvalue {eig_min:.3e})")
+        deficit = float(np.linalg.norm(np.eye(dim) - np.sum(base, axis=0), ord=2))
+        shifts = np.stack([_phase_shift(t, dim) for t in phases])[:, None]
+        elements = (base * shifts).reshape(-1, dim, dim)  # one product, no copy
+        elements.flags.writeable = False
         object.__setattr__(self, "phases", phases)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "born", born)
+        object.__setattr__(self, "deficit", deficit)
+
+    @functools.cached_property
+    def born(self) -> np.ndarray:
+        born = real_coordinates(self.elements)
+        born.flags.writeable = False
+        return born
 
 
 def _displaced_projectors(beta: complex, n_detect: int, dim: int) -> np.ndarray:

@@ -276,7 +276,7 @@ def test_simulate_reconstruct_warns_when_not_ic(capsys):
 
 @pytest.mark.parametrize("m", [1, 3])
 def test_simulate_reconstruct_builds_one_povm_set_per_measurement(capsys, monkeypatch, m):
-    original = povmrank.povm.build_binned_quadrature_povm
+    original = povmrank.povm.quadrature_bin_operator
     builds = []
 
     def counting(*args, **kwargs):
@@ -294,7 +294,7 @@ def test_simulate_reconstruct_builds_one_povm_set_per_measurement(capsys, monkey
          "--samples", "500", "--seed", "3", "--max-iters", "5"],
     )
     assert code == 0
-    assert len(builds) == 1  # at phase 0; every phase's set is its rotation
+    assert len(builds) == 1  # at phase 0; every phase's bins are their rotation
     assert builds[0][0] == 0.0
 
 
@@ -373,6 +373,20 @@ def test_simulate_reconstruct_unwritable_out_is_usage_error(capsys, tmp_path):
             "--samples", "1000", "--seed", "1"]
     assert_unwritable_out_is_usage_error(capsys, argv, tmp_path / "missing" / "x.json")
     assert_unwritable_out_is_usage_error(capsys, argv, tmp_path)  # a directory
+
+
+def test_simulate_reconstruct_fails_on_unwritable_out_before_the_run(capsys, monkeypatch,
+                                                                      tmp_path):
+    calls = []
+    monkeypatch.setattr(povmrank.cli, "ml_reconstruct", lambda *a, **k: calls.append(a))
+    argv = ["simulate-reconstruct", "--state", "coherent:0.5@3", "--m", "3", "--seed", "1"]
+    assert_unwritable_out_is_usage_error(capsys, argv, tmp_path / "missing" / "x.json")
+    assert calls == []
+    out = tmp_path / "x.json"  # a usage error in the inputs leaves no file behind
+    with pytest.raises(SystemExit) as err:
+        main(["simulate-reconstruct", "--state", "fock:0,0@1,1", "--m", "3", "--seed", "1",
+              "--out", str(out)])
+    assert err.value.code == 2 and not out.exists() and calls == []
 
 
 def test_simulate_reconstruct_is_deterministic(capsys, tmp_path):

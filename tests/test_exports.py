@@ -83,15 +83,15 @@ def test_every_dataclass_is_frozen():
 
 def _value_objects():
     layout = BinLayout(default_x_max(2), 3)
-    povm = build_binned_quadrature_povm(0.3, layout, 2)
+    single = build_binned_quadrature_povm(0.3, layout, 2)
     data = simulate_dataset(DensityMatrix.pure([1.0, 1.0j]), [0.3], layout, 500, seed=4)
     result = ml_reconstruct(data, max_iters=5)
     measurement = data.measurement
     report = rank_for(SupportSet.contiguous(2), 1)
-    # type name -> (object, one of its fields, the array it stores or None)
+    # [label-]type name -> (object, one of its fields, the array it stores or None)
     return {
         "DensityMatrix": (result.estimate, "entries", result.estimate.entries),
-        "PovmSet": (povm, "deficit", povm.elements),
+        "one-phase-BinnedHomodyne": (single, "deficit", single.elements),
         "BinLayout": (layout, "n_bins", None),
         "BinnedHomodyne": (measurement, "elements", measurement.elements),
         "MeasurementData": (data, "counts", data.counts),
@@ -102,12 +102,12 @@ def _value_objects():
 
 @pytest.mark.parametrize(
     "kind",
-    ["DensityMatrix", "PovmSet", "BinLayout", "BinnedHomodyne", "MeasurementData",
-     "ReconstructionResult", "RankReport"],
+    ["DensityMatrix", "one-phase-BinnedHomodyne", "BinLayout", "BinnedHomodyne",
+     "MeasurementData", "ReconstructionResult", "RankReport"],
 )
 def test_value_types_are_immutable_after_validation(kind):
     obj, name, array = _value_objects()[kind]
-    assert type(obj).__name__ == kind
+    assert type(obj).__name__ == kind.rpartition("-")[2]
     with pytest.raises(FrozenInstanceError):
         setattr(obj, name, getattr(obj, name))
     if array is not None:
@@ -117,7 +117,7 @@ def test_value_types_are_immutable_after_validation(kind):
 
 @pytest.mark.parametrize(
     "kind, equal",
-    [("DensityMatrix", False), ("PovmSet", False), ("BinnedHomodyne", False),
+    [("DensityMatrix", False), ("one-phase-BinnedHomodyne", False), ("BinnedHomodyne", False),
      ("MeasurementData", False), ("RankReport", False), ("BinLayout", True)],
 )
 def test_array_holding_values_compare_by_identity(kind, equal):

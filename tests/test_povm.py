@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -9,14 +10,15 @@ from scipy.special import eval_hermite
 from povmrank import (
     BinLayout,
     BinnedHomodyne,
-    PovmSet,
     build_binned_quadrature_povm,
     coherent_amplitudes,
     default_x_max,
     displaced_number_operator,
+    povm_span_rank,
     quadrature_bin_operator,
     real_coordinates,
 )
+from povmrank import povm as povm_module
 
 INF = math.inf
 
@@ -185,7 +187,7 @@ def test_binned_elements_phase_covariance():
 
 
 # ---------------------------------------------------------------------- rotation
-# BinnedHomodyne builds one set at phase 0 and turns it to every phase
+# BinnedHomodyne builds its bins once, at phase 0, and turns them to every phase
 
 
 ROTATION_PHASES = (0.0, 0.37, -1.1, 7.5)
@@ -206,10 +208,12 @@ def test_rotated_set_is_bit_identical_to_a_build_at_that_phase(dim):
         measurement = BinnedHomodyne(ROTATION_PHASES, layout, dim)
         n_el = layout.n_elements
         assert measurement.elements.shape == (len(ROTATION_PHASES) * n_el, dim, dim)
+        lo, hi = np.array(layout.intervals()).T
         for j, theta in enumerate(ROTATION_PHASES):  # setting-major, bins ascending
-            built = build_binned_quadrature_povm(theta, layout, dim)
+            built = quadrature_bin_operator(theta, lo, hi, dim)
             block = measurement.elements[j * n_el : (j + 1) * n_el]
-            assert np.array_equal(block, built.elements), (layout, theta)
+            assert np.array_equal(block, built), (layout, theta)
+            assert np.array_equal(block, build_binned_quadrature_povm(theta, layout, dim).elements)
         assert np.array_equal(measurement.born, real_coordinates(measurement.elements))
         for array in (measurement.elements, measurement.born):
             assert not array.flags.writeable
@@ -276,59 +280,59 @@ def test_deficit_positive_without_overflow():
     assert povm.deficit > 1e-3
 
 
-def test_deficit_of_identity_element():
-    povm = PovmSet([np.eye(3, dtype=complex)])
-    assert povm.deficit == 0.0
+def test_deficit_is_that_of_one_phase():
+    # a rotation keeps the sum's spectrum, so every phase has the phase-0 deficit
+    dim = 5
+    for layout in rotation_layouts(dim):
+        one = BinnedHomodyne([0.8], layout, dim)
+        many = BinnedHomodyne(ROTATION_PHASES, layout, dim)
+        assert one.deficit == many.deficit
+        n_el = layout.n_elements
+        for block in many.elements.reshape(-1, n_el, dim, dim):
+            direct = np.linalg.norm(np.eye(dim) - np.sum(block, axis=0), ord=2)
+            assert abs(direct - many.deficit) <= 1e-15
 
 
-# ---------------------------------------------------------------------- PovmSet
+# ------------------------------------------------------------- element checks
 
 
-def test_povm_set_rejects_non_hermitian():
-    bad = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    with pytest.raises(ValueError, match="Hermitian"):
-        PovmSet([bad])
+def test_povm_set_rejects_negative_element(monkeypatch):
+    # the PSD check runs once, on the phase-0 bins every phase is turned from
+    def negative_bins(theta, a, b, dim):
+        return np.stack([np.diag([1.0, -0.5]).astype(complex)] * np.size(a))
 
-
-def test_povm_set_rejects_negative_element():
-    with pytest.raises(ValueError, match="PSD"):
-        PovmSet([np.diag([1.0, -0.5]).astype(complex)])
-
-
-@pytest.mark.parametrize(
-    "bad, message",
-    [
-        (np.array([[0.1, 0.2], [0.0, 0.1]], dtype=complex), "not Hermitian"),
-        (np.diag([0.3, -0.01]).astype(complex), "not PSD"),
-        (np.eye(3, dtype=complex), "shape does not match dim"),
-        (np.diag([math.nan, 0.0]).astype(complex), "finite"),
-        (np.diag([0.5, math.inf]).astype(complex), "finite"),
-    ],
-)
-def test_povm_set_rejects_one_bad_element_in_a_batch(bad, message):
-    good = list(build_binned_quadrature_povm(0.2, BinLayout(default_x_max(2), 3), 2).elements)
-    for at in (0, 2, len(good)):
-        with pytest.raises(ValueError, match=message):
-            PovmSet(good[:at] + [bad] + good[at:])
+    monkeypatch.setattr(povm_module, "quadrature_bin_operator", negative_bins)
+    for build in (lambda: BinnedHomodyne([0.0, 1.3], BinLayout(3.0, 3), 2),
+                  lambda: build_binned_quadrature_povm(0.4, BinLayout(3.0, 3), 2)):
+        with pytest.raises(ValueError, match="not PSD"):
+            build()
 
 
 def test_povm_set_deficit_is_always_computed():
-    elements = [np.diag([1.0, 0.0]).astype(complex)]
+    layout = BinLayout(default_x_max(2), 3)
     with pytest.raises(TypeError):
-        PovmSet(elements, deficit=0.0)
+        BinnedHomodyne([0.0], layout, 2, deficit=0.0)
     with pytest.raises(TypeError):
-        PovmSet(elements, dim=2)
-    povm = PovmSet(elements)
-    assert povm.deficit == 1.0
+        BinnedHomodyne([0.0], layout, 2, elements=np.eye(2)[None])
+    measurement = BinnedHomodyne([0.0], layout, 2)
+    direct = np.linalg.norm(np.eye(2) - np.sum(measurement.elements, axis=0), ord=2)
+    assert measurement.deficit == direct
 
 
-def test_povm_set_stores_one_read_only_copy():
-    source = np.stack([0.5 * np.eye(2, dtype=complex)] * 2)
-    povm = PovmSet(source)
-    source[0] = 0.0  # the caller's array stays writeable and is not shared
-    assert povm.elements.shape == (2, 2, 2)
-    assert not povm.elements.flags.writeable
-    assert povm.deficit == 0.0
+def test_born_is_formed_on_first_read_and_kept_read_only():
+    layout = BinLayout(default_x_max(3), 5)
+    single = build_binned_quadrature_povm(0.3, layout, 3)
+    povm_span_rank([single])  # the span rank reads the elements only
+    assert "born" not in vars(single)
+    measurement = BinnedHomodyne([0.0, 1.1], layout, 3)
+    born = measurement.born
+    assert measurement.born is born
+    assert np.array_equal(born, real_coordinates(measurement.elements))
+    assert not born.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        born[...] = 0
+    with pytest.raises(FrozenInstanceError):
+        measurement.born = born
 
 
 def test_bin_layout_validation_and_intervals():
