@@ -21,7 +21,7 @@ import numpy as np
 
 from .completeness import default_phases, numerical_rank, predicted_rank, rank_for, sweep_table
 from .fock import DensityMatrix, SupportSet, coherent_amplitudes
-from .povm import BinLayout, default_x_max
+from .povm import BinLayout, BinnedHomodyne, default_x_max
 from .tomo import fidelity, ml_reconstruct, simulate_dataset
 
 __all__ = ["main", "build_parser", "parse_state_spec"]
@@ -150,8 +150,8 @@ def _cmd_simulate_reconstruct(args, parser) -> int:
         phases = args.phases or default_phases(SupportSet.contiguous(dim), args.m)
         n_bins = args.bins if args.bins is not None else 2 * dim - 1
         layout = BinLayout(x_max=default_x_max(dim), n_bins=n_bins, include_overflow=True)
-        # checks the seed before any draw
-        data = simulate_dataset(rho_true, phases, layout, args.samples, args.seed)
+        measurement = BinnedHomodyne(phases, layout, dim)
+        data = simulate_dataset(rho_true, measurement, args.samples, args.seed)  # seed checked first
     except ValueError as exc:
         parser.error(str(exc))
     with _output(args.out) as out:  # opened before the run, written after it

@@ -5,8 +5,8 @@ The closed-form predictor m(2d-m) (capped at d^2) is checked against a
 numerical rank oracle: the quadrature probability functionals of a support
 and its phases, over the real parametrization of Hermitian operators on the
 support, form a design matrix whose singular spectrum certifies the count.
-Binned homodyne measurements go through povm_span_rank, the rank of the
-real span of their elements.
+Any measurement with elements and dim (povm.BinnedHomodyne or another
+scheme) goes through povm_span_rank, the rank of their real span.
 """
 
 from __future__ import annotations
@@ -204,13 +204,15 @@ def _certified(sv: np.ndarray, shape) -> RankReport:
 
 
 def numerical_rank(matrix) -> RankReport:
-    """Singular-value rank with a gap certificate.
+    """Singular-value rank of a finite matrix, with a gap certificate.
 
     Threshold: max(rows, cols) * sigma_max * 1e-12.
     """
     mat = np.asarray(matrix, dtype=float)
     if mat.ndim != 2 or mat.size == 0:
         raise ValueError("matrix must be 2-D and non-empty")
+    if not np.isfinite(mat).all():
+        raise ValueError("matrix must be finite")
     return _certified(np.linalg.svd(mat, compute_uv=False), mat.shape)
 
 
@@ -345,7 +347,7 @@ def sweep_table(d_range, m_range) -> SweepTable:
 
 def povm_span_rank(sets) -> RankReport:
     """Rank of the real span of all elements of the given measurements, each
-    with ``elements`` and ``dim`` (a BinnedHomodyne); no ``born`` is formed."""
+    with ``elements`` and ``dim`` (such as a BinnedHomodyne); no ``born`` is formed."""
     sets = list(sets)
     if not sets:
         raise ValueError("at least one POVM set is required")

@@ -179,6 +179,10 @@ class BinnedHomodyne:
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "deficit", deficit)
 
+    @property
+    def settings(self) -> tuple:  # a (phase, layout) pair per block of elements
+        return tuple((theta, self.layout) for theta in self.phases)
+
     @functools.cached_property
     def born(self) -> np.ndarray:
         born = real_coordinates(self.elements)

@@ -2,8 +2,8 @@
 
 Informationally complete settings must recover the state operationally;
 incomplete ones must leave the corresponding ambiguities visible.  The
-measurement, a povm.BinnedHomodyne, carries its Born matrix
-B_j = v(E_j) (fock.real_coordinates), so p = B v(rho) is every bin
+caller's measurement (see MeasurementData) carries its Born matrix
+B_j = v(E_j) (fock.real_coordinates), so p = B v(rho) is every outcome
 probability: simulated count matrices are multinomial draws from it
 (sample_homodyne and bin_samples are for raw samples), and the estimator
 maximizes L(rho) = sum_j n_j log p_j by a log-barrier Newton method (Boyd
@@ -28,7 +28,7 @@ from .fock import (
     homodyne_pdf_grid,
     real_coordinates,
 )
-from .povm import BinLayout, BinnedHomodyne, default_x_max
+from .povm import BinLayout, default_x_max
 
 __all__ = [
     "MeasurementData",
@@ -53,26 +53,27 @@ BARRIER_FLOOR = 1e-3  # mu * dim at which centring stops shrinking mu
 
 @dataclass(frozen=True, eq=False)
 class MeasurementData:
-    """Event counts of one measurement, simulated or measured: a read-only
-    int64 matrix, a row per setting and a column per bin like the elements.
-    Every row shares one positive sum, ``total_per_setting``."""
+    """Counts of one measurement, simulated or measured: a read-only int64 matrix,
+    a row per entry of its ``settings``, a column per outcome like its ``elements``
+    (stacked by setting); every row has one positive sum, ``total_per_setting``."""
 
-    measurement: BinnedHomodyne
+    measurement: object
     counts: np.ndarray
     total_per_setting: int = field(init=False)
 
     def __post_init__(self):
-        if not isinstance(self.measurement, BinnedHomodyne):
-            raise TypeError("measurement must be a BinnedHomodyne")
-        shape = (len(self.measurement.phases), self.measurement.layout.n_elements)
-        if len(self.counts) != shape[0]:
-            raise ValueError("one count vector per setting is required")
+        for name in ("settings", "elements"):
+            if not hasattr(self.measurement, name):
+                raise TypeError(f"measurement has no {name!r}")
+        rows = len(self.measurement.settings)
         try:
             counts = np.array(self.counts)
-        except ValueError:  # ragged rows
-            counts = np.empty(0)
-        if counts.shape != shape:
-            raise ValueError("count vector length does not match the POVM set")
+        except ValueError:  # ragged rows: keep their number, lose their length
+            counts = np.empty(len(self.counts))
+        if counts.shape[:1] != (rows,):  # a scalar has no rows
+            raise ValueError("one count vector per setting is required")
+        if counts.ndim != 2 or counts.size != len(self.measurement.elements):
+            raise ValueError("count vector length does not match the setting's outcomes")
         # NaN and inf fail the bound, so the cast never sees them
         whole = counts.dtype.kind in "iuf" and np.all(np.abs(counts) < 2.0**63)
         if not (whole and np.array_equal(counts.astype(np.int64), counts)):
@@ -89,7 +90,7 @@ class MeasurementData:
 
     @property
     def settings(self) -> tuple:
-        return tuple((theta, self.measurement.layout) for theta in self.measurement.phases)
+        return self.measurement.settings
 
 
 @dataclass(frozen=True)
@@ -185,29 +186,29 @@ def bin_samples(samples, layout: BinLayout) -> np.ndarray:
 
 
 def simulate_dataset(
-    rho: DensityMatrix, phases, layout: BinLayout, total_per_setting: int, seed: int
+    rho: DensityMatrix, measurement, total_per_setting: int, seed: int
 ) -> MeasurementData:
-    """Multinomial bin counts drawn from the exact Tr(rho E_j) for each phase.
+    """Multinomial counts drawn from the exact Tr(rho E_j) for each setting.
 
     Setting i draws from its own stream, default_rng([seed, i]), so no two
     (seed, setting) pairs share one and the result does not depend on
-    evaluation order.  A
-    draw outside the layout (possible only without overflow bins) raises
-    ValueError, since the setting's counts would then fall short of
-    total_per_setting.
+    evaluation order.  A draw outside a setting's outcomes (a homodyne
+    layout without overflow bins) raises ValueError, since the setting's
+    counts would then fall short of total_per_setting.
     """
+    if rho.dim != measurement.dim:
+        raise ValueError(f"state dim {rho.dim} != measurement dim {measurement.dim}")
     total_per_setting = _checked_integer(total_per_setting, "total_per_setting")
     if total_per_setting < 1:
         raise ValueError("total_per_setting must be positive")
     seed = _checked_seed(seed)
-    measurement = BinnedHomodyne(phases, layout, rho.dim)
     probs = np.clip(measurement.born @ real_coordinates(rho.entries), 0.0, None)
     counts = []
-    for i, p in enumerate(probs.reshape(len(measurement.phases), layout.n_elements)):
-        outcomes = np.append(p, max(0.0, 1.0 - p.sum()))  # last: mass outside the layout
+    for i, p in enumerate(probs.reshape(len(measurement.settings), -1)):
+        outcomes = np.append(p, max(0.0, 1.0 - p.sum()))  # last: mass outside the outcomes
         draw = np.random.default_rng([seed, i]).multinomial(total_per_setting, outcomes)
         if draw[-1]:
-            raise ValueError("draws fell outside the layout: counts must sum to total_per_setting")
+            raise ValueError("draws fell outside the outcomes: counts must sum to total_per_setting")
         counts.append(draw[:-1])
     return MeasurementData(measurement=measurement, counts=counts)
 
@@ -330,22 +331,17 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return float(np.sum(np.sqrt(lam)) ** 2)
 
 
-def ambiguity_witness(states, phases, layout: BinLayout) -> float:
-    """Largest spread of predicted bin probabilities across the states.
+def ambiguity_witness(states, measurement) -> float:
+    """Largest spread of predicted outcome probabilities across the states.
 
-    Zero means no setting/bin of the measurement can tell the states apart.
+    Zero means no outcome of the measurement can tell the states apart.
     """
     states = list(states)
     if not states:
         raise ValueError("at least one state is required")
-    dim = states[0].dim
-    if any(s.dim != dim for s in states):
-        raise ValueError("states must share the same dim")
-    phases = tuple(phases)
-    if not phases:  # no setting, so nothing tells the states apart
-        return 0.0
-    born = BinnedHomodyne(phases, layout, dim).born
+    if any(state.dim != measurement.dim for state in states):
+        raise ValueError(f"state dims {[s.dim for s in states]} != measurement dim {measurement.dim}")
     # Tr((rho_s - rho_0) E_j): a copy of the first state gives exactly 0
     rhos = real_coordinates(np.stack([state.entries for state in states]))
-    shifts = (rhos - rhos[0]) @ born.T
+    shifts = (rhos - rhos[0]) @ measurement.born.T
     return float(np.max(shifts.max(axis=0) - shifts.min(axis=0), initial=0.0))

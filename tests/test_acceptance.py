@@ -8,6 +8,7 @@ import numpy as np
 
 from povmrank import (
     BinLayout,
+    BinnedHomodyne,
     DensityMatrix,
     SupportSet,
     ambiguity_witness,
@@ -117,8 +118,8 @@ def test_criterion_3_position_ambiguity(capsys):
     )
 
     layout = BinLayout(default_x_max(2), 3, include_overflow=True)
-    blind = ambiguity_witness(states, [0.0], layout)
-    seeing = ambiguity_witness(states, [0.0, math.pi / 2], layout)
+    blind = ambiguity_witness(states, BinnedHomodyne([0.0], layout, 2))
+    seeing = ambiguity_witness(states, BinnedHomodyne([0.0, math.pi / 2], layout, 2))
     with capsys.disabled():
         report(
             3,
@@ -175,7 +176,7 @@ def test_criterion_6_maximum_likelihood_loop(capsys):
     phases = [j * math.pi / d for j in range(d)]
     layout = BinLayout(default_x_max(d), 2 * d - 1, include_overflow=True)
     rho_true = DensityMatrix.pure([1.0, 1.0, 1.0])
-    data = simulate_dataset(rho_true, phases, layout, 100_000, seed=42)
+    data = simulate_dataset(rho_true, BinnedHomodyne(phases, layout, d), 100_000, seed=42)
     result = ml_reconstruct(data)
     fid = fidelity(result.estimate, rho_true)
     gains = np.diff(result.log_likelihood_trace)

@@ -206,6 +206,15 @@ def test_numerical_rank_rejects_empty():
         numerical_rank(np.zeros((0, 3)))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_numerical_rank_rejects_non_finite_entries(bad):
+    # NaN failed the SVD; inf read as rank 0 with gap inf, a false certificate
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="matrix must be finite"):
+            numerical_rank([[bad, 1.0], [1.0, 1.0]])
+
+
 # ----------------------------------------------------------------------- rank_for
 
 

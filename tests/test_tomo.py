@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from povmrank import (
     fidelity,
     homodyne_pdf_grid,
     ml_reconstruct,
+    real_coordinates,
     sample_homodyne,
     simulate_dataset,
 )
@@ -72,16 +74,16 @@ def test_seeds_must_be_integers(seed):
     with pytest.raises(TypeError, match="seed must be an integer"):
         sample_homodyne(rho, 0.0, 10, seed=seed)
     with pytest.raises(TypeError, match="seed must be an integer"):
-        simulate_dataset(rho, [0.0], BinLayout(2.0, 3), 10, seed=seed)
+        simulate_dataset(rho, BinnedHomodyne([0.0], BinLayout(2.0, 3), rho.dim), 10, seed=seed)
 
 
 def test_numpy_integer_seeds_draw_like_python_ints():
     rho = DensityMatrix.pure([1.0, 1.0])
     assert np.array_equal(sample_homodyne(rho, 0.0, 10, seed=np.int64(3)),
                           sample_homodyne(rho, 0.0, 10, seed=3))
-    layout = BinLayout(2.0, 3)
-    a = simulate_dataset(rho, [0.0, 1.0], layout, 100, seed=np.int64(3))
-    b = simulate_dataset(rho, [0.0, 1.0], layout, 100, seed=3)
+    measurement = BinnedHomodyne([0.0, 1.0], BinLayout(2.0, 3), rho.dim)
+    a = simulate_dataset(rho, measurement, 100, seed=np.int64(3))
+    b = simulate_dataset(rho, measurement, 100, seed=3)
     for x, y in zip(a.counts, b.counts):
         assert np.array_equal(x, y)
 
@@ -171,7 +173,7 @@ def test_binned_homodyne_rejects_non_finite_phases_before_any_arithmetic(bad):
         with pytest.raises(ValueError, match="phases must be finite"):
             BinnedHomodyne([0.0, bad], layout, 2)
         with pytest.raises(ValueError, match="phases must be finite"):
-            ambiguity_witness(counterexample_states(), [bad], layout)
+            ambiguity_witness(counterexample_states(), BinnedHomodyne([bad], layout, 2))
         with pytest.raises(ValueError, match="phases must be finite"):
             sample_homodyne(DensityMatrix.pure([1.0, 1.0]), bad, 5, seed=1)
         with pytest.raises(ValueError, match="phases must be finite"):
@@ -181,8 +183,10 @@ def test_binned_homodyne_rejects_non_finite_phases_before_any_arithmetic(bad):
 def test_simulated_data_carry_the_sets_they_were_drawn_from():
     dim, phases = 3, [0.0, 0.7, 2.0]
     layout = BinLayout(default_x_max(dim), 2 * dim - 1)
-    data = simulate_dataset(DensityMatrix.maximally_mixed(dim), phases, layout, 100, seed=6)
-    assert data.settings == tuple((theta, layout) for theta in phases)
+    measurement = BinnedHomodyne(phases, layout, dim)
+    data = simulate_dataset(DensityMatrix.maximally_mixed(dim), measurement, 100, seed=6)
+    assert data.measurement is measurement
+    assert data.settings == measurement.settings == tuple((theta, layout) for theta in phases)
     assert data.measurement.dim == dim
     built = [build_binned_quadrature_povm(theta, layout, dim).elements for theta in phases]
     assert np.array_equal(data.measurement.elements, np.concatenate(built))
@@ -214,8 +218,16 @@ def test_measurement_data_validation():
         MeasurementData(measurement=two, counts=[[2, 3, 0, 0], [2, 3]])
     with pytest.raises(ValueError, match="one count vector per setting"):
         MeasurementData(measurement=two, counts=[[2, 3, 0, 0], [2, 3], [5]])
-    with pytest.raises(TypeError, match="BinnedHomodyne"):
+    for scalar in (5, np.int64(5), np.array(5)):
+        with pytest.raises(ValueError, match="one count vector per setting"):
+            MeasurementData(measurement=one, counts=scalar)
+    with pytest.raises(ValueError, match="one count vector per setting"):
+        MeasurementData(measurement=one, counts=[2, 3, 0, 0])  # a row, not a list of rows
+    # the measurement is read through its fields: a missing one is named
+    with pytest.raises(TypeError, match="measurement has no 'settings'"):
         MeasurementData(measurement=one.elements, counts=[[2, 3, 0, 0]])
+    with pytest.raises(TypeError, match="measurement has no 'elements'"):
+        MeasurementData(measurement=SimpleNamespace(settings=one.settings), counts=[[2, 3, 0, 0]])
     data = MeasurementData(measurement=two, counts=[[1, 1, 1, 1], [2, 2, 0, 0]])
     assert data.counts.dtype == np.int64 and data.counts.shape == (2, 4)
     assert not data.counts.flags.writeable
@@ -238,11 +250,11 @@ def test_measurement_data_rejects_counts_that_are_not_whole():
 
 def test_simulate_dataset_uses_derived_seeds():
     rho = DensityMatrix.pure([1.0, 1.0])
-    layout = BinLayout(default_x_max(2), 3)
-    data = simulate_dataset(rho, [0.0, 0.0001], layout, 2000, seed=40)
+    measurement = BinnedHomodyne([0.0, 0.0001], BinLayout(default_x_max(2), 3), rho.dim)
+    data = simulate_dataset(rho, measurement, 2000, seed=40)
     # nearly equal phases, different derived seeds: counts differ
     assert not np.array_equal(data.counts[0], data.counts[1])
-    again = simulate_dataset(rho, [0.0, 0.0001], layout, 2000, seed=40)
+    again = simulate_dataset(rho, measurement, 2000, seed=40)
     for a, b in zip(data.counts, again.counts):
         assert np.array_equal(a, b)
 
@@ -253,10 +265,10 @@ def test_simulate_dataset_seeds_share_no_streams():
     dim, m = 3, 4
     rho = DensityMatrix.pure([0.0, 1.0, 0.0])
     layout = BinLayout(default_x_max(dim), 5)
-    phases = [j * math.pi / m for j in range(m)]
+    measurement = BinnedHomodyne([j * math.pi / m for j in range(m)], layout, dim)
     vectors = {tuple(vec.tolist())
                for seed in range(m + 1)
-               for vec in simulate_dataset(rho, phases, layout, 1000, seed=seed).counts}
+               for vec in simulate_dataset(rho, measurement, 1000, seed=seed).counts}
     assert len(vectors) == m * (m + 1)
 
 
@@ -267,7 +279,7 @@ def test_simulated_counts_follow_the_exact_bin_probabilities():
     rho = DensityMatrix.pure([1.0] + [0.0] * (dim - 1))
     layout = BinLayout(1.0, 3)
     phases = [0.0, 0.9, 2.3]
-    data = simulate_dataset(rho, phases, layout, total, seed=31)
+    data = simulate_dataset(rho, BinnedHomodyne(phases, layout, dim), total, seed=31)
     for theta, vec in zip(phases, data.counts):
         povm = build_binned_quadrature_povm(theta, layout, dim)
         p = np.array([np.real(np.trace(rho.entries @ el)) for el in povm.elements])
@@ -278,15 +290,25 @@ def test_simulated_counts_follow_the_exact_bin_probabilities():
 
 def test_simulate_without_overflow_rejects_lost_mass():
     rho = DensityMatrix.pure([1.0, 0.0])
+    measurement = BinnedHomodyne([0.0], BinLayout(1.0, 3, include_overflow=False), rho.dim)
     with pytest.raises(ValueError, match="sum to total_per_setting"):
-        simulate_dataset(rho, [0.0], BinLayout(1.0, 3, include_overflow=False), 1000, seed=3)
+        simulate_dataset(rho, measurement, 1000, seed=3)
 
 
 @pytest.mark.parametrize("total", [True, 10.5])
 def test_total_per_setting_must_be_an_integer(total):
     rho = DensityMatrix.pure([1.0, 1.0])
     with pytest.raises(TypeError, match="total_per_setting must be an integer"):
-        simulate_dataset(rho, [0.0], BinLayout(2.0, 3), total, seed=1)
+        simulate_dataset(rho, BinnedHomodyne([0.0], BinLayout(2.0, 3), rho.dim), total, seed=1)
+
+
+def test_simulate_and_witness_reject_a_state_of_another_dim():
+    measurement = BinnedHomodyne([0.0, 1.0], BinLayout(default_x_max(3), 5), 3)
+    qubit = DensityMatrix.maximally_mixed(2)
+    with pytest.raises(ValueError, match="state dim 2 != measurement dim 3"):
+        simulate_dataset(qubit, measurement, 100, seed=1)
+    with pytest.raises(ValueError, match=r"state dims \[3, 2\] != measurement dim 3"):
+        ambiguity_witness([DensityMatrix.maximally_mixed(3), qubit], measurement)
 
 
 def test_simulate_validates_before_drawing(monkeypatch):
@@ -295,11 +317,11 @@ def test_simulate_validates_before_drawing(monkeypatch):
 
     monkeypatch.setattr(np.random, "default_rng", no_draws)
     rho = DensityMatrix.pure([1.0, 1.0])
-    layout = BinLayout(default_x_max(2), 3)
+    measurement = BinnedHomodyne([0.0, 1.0], BinLayout(default_x_max(2), 3), rho.dim)
     with pytest.raises(ValueError, match="seed"):
-        simulate_dataset(rho, [0.0, 1.0], layout, 100, seed=-1)
+        simulate_dataset(rho, measurement, 100, seed=-1)
     with pytest.raises(ValueError, match="total_per_setting must be positive"):
-        simulate_dataset(rho, [0.0, 1.0], layout, 0, seed=1)
+        simulate_dataset(rho, measurement, 0, seed=1)
 
 
 # --------------------------------------------------------------- ml_reconstruct
@@ -316,7 +338,7 @@ def test_ml_recovers_state_from_ic_settings():
     dim = 3
     phases, layout, _ = _ic_setup(dim)
     rho_true = DensityMatrix.pure([1.0, 1.0, 1.0])
-    data = simulate_dataset(rho_true, phases, layout, 100_000, seed=42)
+    data = simulate_dataset(rho_true, BinnedHomodyne(phases, layout, dim), 100_000, seed=42)
     result = ml_reconstruct(data)
     assert fidelity(result.estimate, rho_true) >= 0.99
     gains = np.diff(result.log_likelihood_trace)
@@ -329,7 +351,7 @@ def test_ml_single_quadrature_pins_populations_only():
     dim = 2
     layout = BinLayout(default_x_max(dim), 2 * dim - 1)
     rho_true = DensityMatrix(np.diag([0.7, 0.3]).astype(complex))
-    data = simulate_dataset(rho_true, [0.0], layout, 100_000, seed=7)
+    data = simulate_dataset(rho_true, BinnedHomodyne([0.0], layout, dim), 100_000, seed=7)
     result = ml_reconstruct(data)
     est_diag = np.real(np.diag(result.estimate.entries))
     assert np.max(np.abs(est_diag - [0.7, 0.3])) < 0.02
@@ -363,7 +385,8 @@ def _criterion_6_data():
     dim = 3
     phases, layout, _ = _ic_setup(dim)
     rho_true = DensityMatrix.pure([1.0, 1.0, 1.0])
-    return rho_true, simulate_dataset(rho_true, phases, layout, 100_000, seed=42)
+    data = simulate_dataset(rho_true, BinnedHomodyne(phases, layout, dim), 100_000, seed=42)
+    return rho_true, data
 
 
 def test_ml_estimate_is_a_projected_gradient_fixed_point():
@@ -371,7 +394,8 @@ def test_ml_estimate_is_a_projected_gradient_fixed_point():
     # <= lambda_max(R) - 1, so a certified estimate barely moves under one step
     dim = 4
     phases, layout, _ = _ic_setup(dim)
-    data = simulate_dataset(DensityMatrix.pure([1.0, 0.5j, -0.3, 0.2]), phases, layout, 50_000, seed=3)
+    rho_true = DensityMatrix.pure([1.0, 0.5j, -0.3, 0.2])
+    data = simulate_dataset(rho_true, BinnedHomodyne(phases, layout, dim), 50_000, seed=3)
     result = ml_reconstruct(data)
     assert result.stop == "certified"
     rho = result.estimate.entries
@@ -409,7 +433,8 @@ def test_ml_certifies_a_mixed_state_on_the_default_layout_quickly(seed):
     dim = 4
     layout = BinLayout(default_x_max(dim), 2 * dim - 1)
     phases = [j * math.pi / dim for j in range(dim)]
-    data = simulate_dataset(DensityMatrix.maximally_mixed(dim), phases, layout, 20_000, seed=seed)
+    measurement = BinnedHomodyne(phases, layout, dim)
+    data = simulate_dataset(DensityMatrix.maximally_mixed(dim), measurement, 20_000, seed=seed)
     result = ml_reconstruct(data)
     assert result.stop == "certified" and result.gap_bound <= 0.1
     assert result.iterations <= 60
@@ -421,7 +446,7 @@ def test_ml_certifies_ill_conditioned_d8_coherent_data_quickly():
     dim = 8
     rho_true = DensityMatrix.pure(coherent_amplitudes(0.5 + 0.5j, dim))
     phases, layout, _ = _ic_setup(dim)
-    data = simulate_dataset(rho_true, phases, layout, 100_000, seed=2)
+    data = simulate_dataset(rho_true, BinnedHomodyne(phases, layout, dim), 100_000, seed=2)
     result = ml_reconstruct(data)
     assert result.stop == "certified" and result.gap_bound <= 0.1
     assert result.iterations <= 60
@@ -449,7 +474,7 @@ def test_ml_estimate_satisfies_state_invariants():
     dim = 3
     phases, layout, _ = _ic_setup(dim)
     rho_true = DensityMatrix.maximally_mixed(dim)
-    data = simulate_dataset(rho_true, phases, layout, 20_000, seed=13)
+    data = simulate_dataset(rho_true, BinnedHomodyne(phases, layout, dim), 20_000, seed=13)
     result = ml_reconstruct(data, max_iters=400)
     est = result.estimate.entries
     assert np.max(np.abs(est - est.conj().T)) < 1e-12
@@ -461,12 +486,13 @@ def test_ml_estimate_satisfies_state_invariants():
 def test_ml_fidelity_improves_with_sample_size():
     dim = 3
     phases, layout, _ = _ic_setup(dim)
+    measurement = BinnedHomodyne(phases, layout, dim)
     rho_true = DensityMatrix.pure([1.0, -0.5j, 0.25])
     medians = []
     for n in (1_000, 10_000, 100_000):
         fids = []
         for seed in range(1, 21):
-            data = simulate_dataset(rho_true, phases, layout, n, seed=seed)
+            data = simulate_dataset(rho_true, measurement, n, seed=seed)
             result = ml_reconstruct(data)
             fids.append(fidelity(result.estimate, rho_true))
         medians.append(float(np.median(fids)))
@@ -501,7 +527,8 @@ def test_ml_zero_probability_bin_without_counts_is_not_singular():
 def test_ml_final_loglik_sums_the_observed_bins():
     dim = 3
     phases, layout, povms = _ic_setup(dim)
-    data = simulate_dataset(DensityMatrix.pure([1.0, 0.0, 0.0]), phases, layout, 300, seed=9)
+    measurement = BinnedHomodyne(phases, layout, dim)
+    data = simulate_dataset(DensityMatrix.pure([1.0, 0.0, 0.0]), measurement, 300, seed=9)
     counts = data.counts.ravel()
     assert np.any(counts == 0)
     result = ml_reconstruct(data, max_iters=200)
@@ -517,7 +544,7 @@ def test_ml_rejects_mismatched_inputs():
     dim = 3
     phases, layout, povms = _ic_setup(dim)
     rho = DensityMatrix.maximally_mixed(dim)
-    data = simulate_dataset(rho, phases, layout, 100, seed=2)
+    data = simulate_dataset(rho, BinnedHomodyne(phases, layout, dim), 100, seed=2)
     with pytest.raises(TypeError):
         ml_reconstruct(data, povms)
     with pytest.raises(TypeError):
@@ -530,7 +557,7 @@ def test_reconstruction_result_json():
     dim = 2
     layout = BinLayout(default_x_max(dim), 3)
     rho = DensityMatrix.pure([1.0, 1.0])
-    data = simulate_dataset(rho, [0.0], layout, 5000, seed=8)
+    data = simulate_dataset(rho, BinnedHomodyne([0.0], layout, rho.dim), 5000, seed=8)
     result = ml_reconstruct(data, max_iters=50)
     payload = json.loads(json.dumps(result.to_json_dict()))
     assert payload["iterations"] == result.iterations
@@ -584,19 +611,20 @@ def test_fidelity_rejects_dim_mismatch():
 
 def test_witness_blind_at_position_only():
     layout = BinLayout(default_x_max(2), 3)
-    assert ambiguity_witness(counterexample_states(), [0.0], layout) < 1e-12
+    assert ambiguity_witness(counterexample_states(), BinnedHomodyne([0.0], layout, 2)) < 1e-12
 
 
 def test_witness_separates_with_second_phase():
     layout = BinLayout(default_x_max(2), 3)
-    value = ambiguity_witness(counterexample_states(), [0.0, math.pi / 2], layout)
+    both = BinnedHomodyne([0.0, math.pi / 2], layout, 2)
+    value = ambiguity_witness(counterexample_states(), both)
     assert value > 0.1
 
 
 def test_witness_identical_states_exact_zero():
     rho = DensityMatrix.pure([1.0, 0.3j])
     layout = BinLayout(default_x_max(2), 3)
-    assert ambiguity_witness([rho, rho, rho], [0.0, 1.0], layout) == 0.0
+    assert ambiguity_witness([rho, rho, rho], BinnedHomodyne([0.0, 1.0], layout, 2)) == 0.0
 
 
 def test_non_ic_log_likelihoods_indistinguishable():
@@ -604,7 +632,7 @@ def test_non_ic_log_likelihoods_indistinguishable():
     states = counterexample_states()
     layout = BinLayout(default_x_max(2), 3)
     povm = build_binned_quadrature_povm(0.0, layout, 2)
-    data = simulate_dataset(states[1], [0.0], layout, 50_000, seed=17)
+    data = simulate_dataset(states[1], BinnedHomodyne([0.0], layout, 2), 50_000, seed=17)
     ops = np.stack(povm.elements)
     counts = data.counts[0].astype(float)
     logliks = []
@@ -612,3 +640,32 @@ def test_non_ic_log_likelihoods_indistinguishable():
         p = np.real(np.einsum("kl,jlk->j", state.entries, ops))
         logliks.append(float(np.dot(counts, np.log(p))))
     assert max(logliks) - min(logliks) < 1e-9
+
+
+# ------------------------------------------------- a measurement of another kind
+
+
+def _pauli_measurement(axes):
+    """Eigenprojectors (I +- sigma) / 2 of the named Pauli axes on a qubit, a
+    setting per axis: not a BinnedHomodyne, only the four fields tomo reads."""
+    sigma = {"X": np.array([[0, 1], [1, 0]]), "Y": np.array([[0, -1j], [1j, 0]]),
+             "Z": np.diag([1, -1])}
+    elements = np.stack([(np.eye(2) + sign * sigma[a]) / 2 for a in axes for sign in (1, -1)])
+    return SimpleNamespace(dim=2, settings=tuple(axes), elements=elements,
+                           born=real_coordinates(elements))
+
+
+def test_a_qubit_pauli_measurement_round_trips():
+    measurement = _pauli_measurement("XYZ")
+    # a full-rank state: ML error O(1/N), where a pure one's shows O(1/sqrt N) radially
+    rho_true = DensityMatrix(np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]))
+    data = simulate_dataset(rho_true, measurement, 100_000, seed=5)
+    assert data.settings == ("X", "Y", "Z")
+    assert data.counts.shape == (3, 2) and data.total_per_setting == 100_000
+    result = ml_reconstruct(data)
+    assert result.stop == "certified"
+    assert fidelity(result.estimate, rho_true) >= 0.999
+    # |+i> and |-i> agree on X and Z; only the Y setting tells them apart
+    plus_i, minus_i = DensityMatrix.pure([1.0, 1.0j]), DensityMatrix.pure([1.0, -1.0j])
+    assert ambiguity_witness([plus_i, minus_i], measurement) == pytest.approx(1.0)
+    assert ambiguity_witness([plus_i, minus_i], _pauli_measurement("XZ")) < 1e-15
