@@ -2,11 +2,13 @@
 
 Binned quadrature projectors, the binned homodyne measurement and
 displaced photon-number detectors.  A binned homodyne measurement is the
-one type that holds and checks binned elements: one read-only stack with
-its identity deficit.  A quadrature bin at phase theta is the phase-zero
+one type that holds binned elements: one read-only stack with its
+identity deficit.  A quadrature bin at phase theta is the phase-zero
 bin turned by the phase shifter diag(e^{in theta}), entrywise a product
-with ``_phase_shift``, so a measurement builds its bins once and turns
-them to every phase.
+with ``_phase_shift``.  The phase-zero bins are real; a ``BinLayout``
+builds and checks them once per dim and keeps them as long as it lives,
+so every measurement on that layout, of one phase or many, turns the
+same stack to its phases.
 """
 
 from __future__ import annotations
@@ -107,14 +109,19 @@ def quadrature_bin_operator(theta: float, a, b, dim: int) -> np.ndarray:
 @dataclass(frozen=True)
 class BinLayout:
     """Equal-width partition of [-x_max, x_max], optionally flanked by two
-    half-infinite overflow bins."""
+    half-infinite overflow bins.  A layout keeps its phase-0 bins on each
+    dim it was built on (``_bins``) for as long as it lives."""
 
     x_max: float
     n_bins: int
     include_overflow: bool = True
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (self.x_max > 0 and math.isfinite(self.x_max)):
+        if isinstance(self.x_max, bool) or not isinstance(self.x_max, numbers.Real):
+            raise TypeError("x_max must be a real number")
+        x_max = float(self.x_max)
+        if not (x_max > 0 and math.isfinite(x_max)):
             raise ValueError("x_max must be positive and finite")
         n_bins = self.n_bins
         if isinstance(n_bins, float) and n_bins.is_integer():
@@ -123,7 +130,11 @@ class BinLayout:
             raise TypeError("n_bins must be an integer")
         if n_bins < 1:
             raise ValueError("n_bins must be positive")
+        if not isinstance(self.include_overflow, (bool, np.bool_)):
+            raise TypeError("include_overflow must be a bool")
+        object.__setattr__(self, "x_max", x_max)
         object.__setattr__(self, "n_bins", int(n_bins))
+        object.__setattr__(self, "include_overflow", bool(self.include_overflow))
 
     @property
     def n_elements(self) -> int:
@@ -140,6 +151,25 @@ class BinLayout:
             return [(-math.inf, -self.x_max)] + finite + [(self.x_max, math.inf)]
         return finite
 
+    def __getstate__(self):  # a copy or pickle starts with an empty memo
+        return {**vars(self), "_memo": {}}
+
+    def _bins(self, dim: int) -> tuple:
+        """(phase-0 bins on dim levels, their deficit): the bins as one real
+        read-only stack, checked PSD, and the spectral norm of (identity -
+        their sum).  Built on a layout's first use at dim; kept only if the
+        check passes."""
+        if dim not in self._memo:
+            # copied: .real alone is a view that would keep the complex stack alive
+            bins = quadrature_bin_operator(0.0, *np.array(self.intervals()).T, dim).real.copy()
+            eig_min = float(np.min(np.linalg.eigvalsh(bins)))
+            if eig_min < EIGENVALUE_FLOOR:
+                raise ValueError(f"element is not PSD (min eigenvalue {eig_min:.3e})")
+            deficit = float(np.linalg.norm(np.eye(dim) - np.sum(bins, axis=0), ord=2))
+            bins.flags.writeable = False
+            self._memo[dim] = (bins, deficit)
+        return self._memo[dim]
+
 
 def build_binned_quadrature_povm(theta: float, layout: BinLayout, dim: int) -> BinnedHomodyne:
     """One operator per bin of the layout at phase theta, in ascending bin order."""
@@ -150,10 +180,11 @@ def build_binned_quadrature_povm(theta: float, layout: BinLayout, dim: int) -> B
 class BinnedHomodyne:
     """Binned homodyne on dim levels, one layout at every phase: every phase's
     bins, ascending, in one read-only stack ``elements`` [m * n_el, dim, dim].
-    The phase-0 bins are built and checked PSD once; each phase's block is
-    their exact rotation, which keeps every spectrum and ``deficit``, the
-    spectral norm of (identity - sum of one phase's bins).  ``born``, the real
-    coordinates (born @ v(rho) is Tr(rho E_j)), is formed on first read."""
+    The phase-0 bins come from the layout, built and checked PSD once per
+    (layout, dim); each phase's block is their exact rotation, which keeps
+    every spectrum and ``deficit``, the spectral norm of (identity - sum of
+    one phase's bins).  ``born``, the real coordinates (born @ v(rho) is
+    Tr(rho E_j)), is formed on first read."""
 
     phases: tuple
     layout: BinLayout
@@ -166,11 +197,7 @@ class BinnedHomodyne:
         if not isinstance(self.layout, BinLayout):
             raise TypeError("layout must be a BinLayout")
         dim = _checked_integer(self.dim, "dim")
-        base = quadrature_bin_operator(0.0, *np.array(self.layout.intervals()).T, dim)
-        eig_min = float(np.min(np.linalg.eigvalsh(base)))
-        if eig_min < EIGENVALUE_FLOOR:
-            raise ValueError(f"element is not PSD (min eigenvalue {eig_min:.3e})")
-        deficit = float(np.linalg.norm(np.eye(dim) - np.sum(base, axis=0), ord=2))
+        base, deficit = self.layout._bins(dim)
         shifts = np.stack([_phase_shift(t, dim) for t in phases])[:, None]
         elements = (base * shifts).reshape(-1, dim, dim)  # one product, no copy
         elements.flags.writeable = False

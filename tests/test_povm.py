@@ -1,6 +1,10 @@
+import copy
+import dataclasses
 import math
+import pickle
 import warnings
 from dataclasses import FrozenInstanceError
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -365,6 +369,129 @@ def test_bin_layout_normalizes_integral_bin_counts():
         layout = BinLayout(3.0, n_bins)
         assert type(layout.n_bins) is int and layout.n_elements == 5
         assert layout == BinLayout(3.0, 3)
+
+
+@pytest.mark.parametrize("x_max", [True, False, np.True_, "5", None, 3.0 + 0j])
+def test_bin_layout_rejects_x_max_that_is_not_a_real_number(x_max):
+    with pytest.raises(TypeError, match="x_max must be a real number"):
+        BinLayout(x_max, 3)
+
+
+def test_bin_layout_stores_x_max_as_a_float():
+    for x_max in (5, np.int64(5), np.float32(5.0), Fraction(5)):
+        layout = BinLayout(x_max, 3)
+        assert type(layout.x_max) is float
+        assert layout == BinLayout(5.0, 3) and repr(layout) == repr(BinLayout(5.0, 3))
+
+
+@pytest.mark.parametrize("include_overflow", [1, 0, 1.0, "yes", None])
+def test_bin_layout_rejects_overflow_flags_that_are_not_bools(include_overflow):
+    with pytest.raises(TypeError, match="include_overflow must be a bool"):
+        BinLayout(3.0, 3, include_overflow)
+
+
+def test_bin_layout_accepts_numpy_bools():
+    for flag in (np.True_, np.False_):
+        layout = BinLayout(3.0, 3, flag)
+        assert type(layout.include_overflow) is bool
+        assert layout == BinLayout(3.0, 3, bool(flag))
+
+
+# ------------------------------------------------------------ phase-0 bin memo
+# a layout builds and checks its phase-0 bins once per dim and keeps them
+
+
+def count_bin_builds(monkeypatch):
+    calls = []
+    original = povm_module.quadrature_bin_operator
+
+    def counted(theta, a, b, dim):
+        calls.append(dim)
+        return original(theta, a, b, dim)
+
+    monkeypatch.setattr(povm_module, "quadrature_bin_operator", counted)
+    return calls
+
+
+def test_a_layout_builds_its_phase_zero_bins_once_per_dim(monkeypatch):
+    dim, m = 4, 5
+    layout = BinLayout(default_x_max(dim), 2 * dim - 1)
+    calls = count_bin_builds(monkeypatch)
+    phases = [j * math.pi / m for j in range(m)]
+    singles = [build_binned_quadrature_povm(theta, layout, dim) for theta in phases]
+    many = BinnedHomodyne(phases, layout, dim)
+    assert calls == [dim]
+    assert np.array_equal(many.elements, np.concatenate([s.elements for s in singles]))
+    assert len({s.deficit for s in singles} | {many.deficit}) == 1
+    # an equal layout is another instance and builds again; so does a replace
+    copies = (BinLayout(default_x_max(dim), 2 * dim - 1), dataclasses.replace(layout),
+              copy.copy(layout), copy.deepcopy(layout), pickle.loads(pickle.dumps(layout)))
+    for other in copies:
+        assert other == layout and other._memo == {}
+        rebuilt = BinnedHomodyne(phases, other, dim)
+        assert np.array_equal(rebuilt.elements, many.elements)
+        assert rebuilt.deficit == many.deficit
+    assert calls == [dim] * 6
+    assert list(layout._memo) == [dim]
+
+
+def test_dims_on_one_layout_are_kept_apart(monkeypatch):
+    layout = BinLayout(default_x_max(6), 7)
+    calls = count_bin_builds(monkeypatch)
+    small, large = (BinnedHomodyne([0.3, 1.2], layout, dim) for dim in (3, 6))
+    again = BinnedHomodyne([0.3, 1.2], layout, 3)
+    assert calls == [3, 6]
+    assert sorted(layout._memo) == [3, 6]
+    assert small.elements.shape == (18, 3, 3) and large.elements.shape == (18, 6, 6)
+    assert np.array_equal(again.elements, small.elements)
+    for m in (small, large):
+        fresh = BinnedHomodyne([0.3, 1.2], BinLayout(default_x_max(6), 7), m.dim)
+        assert np.array_equal(m.elements, fresh.elements) and m.deficit == fresh.deficit
+
+
+def test_a_failing_psd_check_is_not_kept(monkeypatch):
+    layout = BinLayout(3.0, 3)
+    calls = []
+
+    def negative_bins(theta, a, b, dim):
+        calls.append(dim)
+        return np.stack([np.diag([1.0, -0.5]).astype(complex)] * np.size(a))
+
+    monkeypatch.setattr(povm_module, "quadrature_bin_operator", negative_bins)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not PSD"):
+            BinnedHomodyne([0.0, 1.3], layout, 2)
+        assert layout._memo == {}
+    assert calls == [2, 2]
+    monkeypatch.undo()
+    assert BinnedHomodyne([0.0], layout, 2).deficit < 1e-8
+    assert list(layout._memo) == [2]
+
+
+def test_memoized_phase_zero_bins_are_real_and_read_only():
+    layout = BinLayout(default_x_max(3), 5)
+    measurement = BinnedHomodyne([0.0, 0.8], layout, 3)
+    base, deficit = layout._bins(3)
+    assert layout._bins(3)[0] is base
+    assert base.dtype == np.float64 and base.flags.c_contiguous and base.base is None
+    assert not base.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        base[...] = 0
+    assert deficit == measurement.deficit
+    assert np.array_equal(measurement.elements[: layout.n_elements], base)
+
+
+def test_the_memo_leaves_layout_equality_hash_and_repr_alone():
+    layout = BinLayout(3.0, 5)
+    before = (repr(layout), hash(layout))
+    BinnedHomodyne([0.0], layout, 3)
+    assert layout._memo
+    assert (repr(layout), hash(layout)) == before
+    assert repr(layout) == "BinLayout(x_max=3.0, n_bins=5, include_overflow=True)"
+    assert layout == BinLayout(3.0, 5) and hash(layout) == hash(BinLayout(3.0, 5))
+    assert layout != BinLayout(3.0, 5, include_overflow=False)
+    with pytest.raises(TypeError):
+        BinLayout(3.0, 5, _memo={})
 
 
 # ------------------------------------------------------ displaced_number_operator
