@@ -5,8 +5,8 @@ The closed-form predictor m(2d-m) (capped at d^2) is checked against a
 numerical rank oracle: the quadrature probability functionals of a support
 and its phases, over the real parametrization of Hermitian operators on the
 support, form a design matrix whose singular spectrum certifies the count.
-Any measurement with elements and dim (povm.BinnedHomodyne or another
-scheme) goes through povm_span_rank, the rank of their real span.
+A measurement with elements and dim (a povm.BinnedHomodyne or
+DisplacedCounting) is ranked by povm_span_rank or numerical_rank(m.born).
 """
 
 from __future__ import annotations
@@ -18,10 +18,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .fock import (
-    SupportSet, _checked_integer, _checked_phases, _upper_pairs, hermite_function_table,
-    real_coordinates,
+    SupportSet, _checked_integer, _checked_phases, _Rebuilt, _upper_pairs,
+    hermite_function_table, real_coordinates,
 )
-from .povm import _displaced_projectors
 
 __all__ = [
     "MeasurementSpec",
@@ -35,7 +34,6 @@ __all__ = [
     "min_phases_for_completeness",
     "sweep_table",
     "povm_span_rank",
-    "displaced_counting_rank",
 ]
 
 PHASE_DISTINCT_TOL = 1e-9
@@ -100,7 +98,7 @@ class MeasurementSpec:
 
 
 @dataclass(frozen=True, eq=False)
-class RankReport:
+class RankReport(_Rebuilt):
     """Numerical rank with its spectral certificate (read-only singular values).
 
     ``numerical_rank`` counts the singular values above ``tolerance_used``;
@@ -204,10 +202,7 @@ def _certified(sv: np.ndarray, shape) -> RankReport:
 
 
 def numerical_rank(matrix) -> RankReport:
-    """Singular-value rank of a finite matrix, with a gap certificate.
-
-    Threshold: max(rows, cols) * sigma_max * 1e-12.
-    """
+    """Singular-value rank of a finite matrix, with a gap certificate; see _certified."""
     mat = np.asarray(matrix, dtype=float)
     if mat.ndim != 2 or mat.size == 0:
         raise ValueError("matrix must be 2-D and non-empty")
@@ -354,16 +349,3 @@ def povm_span_rank(sets) -> RankReport:
     if any(ps.dim != sets[0].dim for ps in sets):
         raise ValueError("all POVM sets must share the same dim")
     return numerical_rank(real_coordinates(np.concatenate([ps.elements for ps in sets])))
-
-
-def displaced_counting_rank(betas, n_detect: int, dim: int) -> RankReport:
-    """Rank of the span of displaced number projectors over all listed
-    displacements and detector outcomes n < n_detect."""
-    betas = [complex(b) for b in betas]
-    if not betas:
-        raise ValueError("at least one displacement is required")
-    n_detect, dim = _checked_integer(n_detect, "n_detect"), _checked_integer(dim, "dim")
-    if n_detect < dim:
-        raise ValueError("n_detect must be at least dim")
-    blocks = [_displaced_projectors(beta, n_detect, dim) for beta in betas]
-    return numerical_rank(real_coordinates(np.concatenate(blocks)))

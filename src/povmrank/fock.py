@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -51,8 +51,16 @@ def _checked_phases(phases) -> tuple:
     return phases
 
 
+class _Rebuilt:
+    """A value whose copies and pickles are rebuilt by its constructor from its
+    init fields: validated again, every array read-only, nothing cached carried."""
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
+
+
 @dataclass(frozen=True, eq=False)
-class DensityMatrix:
+class DensityMatrix(_Rebuilt):
     """Hermitian, unit-trace, positive-semidefinite read-only Fock-basis matrix."""
 
     entries: np.ndarray

@@ -1,9 +1,8 @@
 """Finite POVM construction on truncated Fock subspaces.
 
-Binned quadrature projectors, the binned homodyne measurement and
-displaced photon-number detectors.  A binned homodyne measurement is the
-one type that holds binned elements: one read-only stack with its
-identity deficit.  A quadrature bin at phase theta is the phase-zero
+Binned quadrature projectors and two measurements, binned homodyne and
+displaced photon counting, each holding its elements setting by setting
+in one read-only stack.  A quadrature bin at phase theta is the phase-zero
 bin turned by the phase shifter diag(e^{in theta}), entrywise a product
 with ``_phase_shift``.  The phase-zero bins are real; a ``BinLayout``
 builds and checks them once per dim and keeps them as long as it lives,
@@ -21,16 +20,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fock import (
-    EIGENVALUE_FLOOR, _checked_integer, _checked_phases, hermite_function_table, real_coordinates,
+    EIGENVALUE_FLOOR, _checked_integer, _checked_phases, _Rebuilt, hermite_function_table,
+    real_coordinates,
 )
 
 __all__ = [
     "BinLayout",
     "BinnedHomodyne",
+    "DisplacedCounting",
     "default_x_max",
     "quadrature_bin_operator",
     "build_binned_quadrature_povm",
-    "displaced_number_operator",
 ]
 
 
@@ -107,10 +107,9 @@ def quadrature_bin_operator(theta: float, a, b, dim: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class BinLayout:
+class BinLayout(_Rebuilt):
     """Equal-width partition of [-x_max, x_max], optionally flanked by two
-    half-infinite overflow bins.  A layout keeps its phase-0 bins on each
-    dim it was built on (``_bins``) for as long as it lives."""
+    half-infinite overflow bins."""
 
     x_max: float
     n_bins: int
@@ -151,9 +150,6 @@ class BinLayout:
             return [(-math.inf, -self.x_max)] + finite + [(self.x_max, math.inf)]
         return finite
 
-    def __getstate__(self):  # a copy or pickle starts with an empty memo
-        return {**vars(self), "_memo": {}}
-
     def _bins(self, dim: int) -> tuple:
         """(phase-0 bins on dim levels, their deficit): the bins as one real
         read-only stack, checked PSD, and the spectral norm of (identity -
@@ -176,15 +172,22 @@ def build_binned_quadrature_povm(theta: float, layout: BinLayout, dim: int) -> B
     return BinnedHomodyne((theta,), layout, dim)
 
 
+class _Measurement(_Rebuilt):
+    @functools.cached_property
+    def born(self) -> np.ndarray:
+        """The elements' real coordinates, read-only: born @ v(rho) is Tr(rho E_j)."""
+        born = real_coordinates(self.elements)
+        born.flags.writeable = False
+        return born
+
+
 @dataclass(frozen=True, eq=False)
-class BinnedHomodyne:
+class BinnedHomodyne(_Measurement):
     """Binned homodyne on dim levels, one layout at every phase: every phase's
-    bins, ascending, in one read-only stack ``elements`` [m * n_el, dim, dim].
-    The phase-0 bins come from the layout, built and checked PSD once per
-    (layout, dim); each phase's block is their exact rotation, which keeps
+    bins, ascending, in ``elements`` [m * n_el, dim, dim].  Each phase's block
+    is an exact rotation of the layout's checked phase-0 bins, which keeps
     every spectrum and ``deficit``, the spectral norm of (identity - sum of
-    one phase's bins).  ``born``, the real coordinates (born @ v(rho) is
-    Tr(rho E_j)), is formed on first read."""
+    one phase's bins)."""
 
     phases: tuple
     layout: BinLayout
@@ -210,20 +213,12 @@ class BinnedHomodyne:
     def settings(self) -> tuple:  # a (phase, layout) pair per block of elements
         return tuple((theta, self.layout) for theta in self.phases)
 
-    @functools.cached_property
-    def born(self) -> np.ndarray:
-        born = real_coordinates(self.elements)
-        born.flags.writeable = False
-        return born
-
 
 def _displaced_projectors(beta: complex, n_detect: int, dim: int) -> np.ndarray:
-    """Top-left dim-blocks of D(b)|n><n|D(b)^+ for n < n_detect, shape
-    [n_detect, dim, dim].  D(b) = exp(b a^+ - b* a) is exponentiated on a
-    truncated ladder through the eigendecomposition of its Hermitian
-    generator, which keeps it exactly unitary; the ladder's
-    dim + 4 ceil(|b|^2) + 20 levels (or n_detect, if more) keep truncation
-    error in D(b)'s dim-block below ~1e-9."""
+    """D(b)|n><n|D(b)^+ on dim levels for n < n_detect.  D(b) = exp(b a^+ - b* a)
+    is exponentiated on a ladder of dim + 4 ceil(|b|^2) + 20 levels (n_detect if
+    more) through the eigendecomposition of its Hermitian generator: exactly
+    unitary, with truncation error in its dim-block below ~1e-9."""
     work_dim = max(dim + 4 * math.ceil(abs(beta) ** 2) + 20, n_detect)
     displacement = np.eye(work_dim, dtype=complex)
     if beta != 0:
@@ -235,13 +230,36 @@ def _displaced_projectors(beta: complex, n_detect: int, dim: int) -> np.ndarray:
     return cols[:, :, None] * cols[:, None, :].conj()
 
 
-def displaced_number_operator(beta: complex, n: int, dim: int) -> np.ndarray:
-    """Top-left dim-block of the displaced number projector D(b)|n><n|D(b)^+."""
-    beta = complex(beta)
-    n = _checked_integer(n, "n")
-    dim = _checked_integer(dim, "dim")
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if dim < 1:
-        raise ValueError("dim must be positive")
-    return _displaced_projectors(beta, n + 1, dim)[n]
+@dataclass(frozen=True, eq=False)
+class DisplacedCounting(_Measurement):
+    """Photon counting behind a displacement D(b), a setting per b, on dim levels:
+    ``elements`` [len(betas) * n_detect, dim, dim] are the projectors for
+    n < n_detect (at least dim), n ascending.  With no remainder element
+    I - sum_n E_n, a count of n >= n_detect falls outside the outcomes."""
+
+    betas: tuple
+    n_detect: int
+    dim: int
+    elements: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        betas = tuple(complex(b) for b in self.betas)
+        if not betas:
+            raise ValueError("at least one displacement is required")
+        if not np.isfinite(betas).all():
+            raise ValueError("displacements must be finite")
+        n_detect, dim = _checked_integer(self.n_detect, "n_detect"), _checked_integer(self.dim, "dim")
+        if dim < 1:
+            raise ValueError("dim must be positive")
+        if n_detect < dim:
+            raise ValueError("n_detect must be at least dim")
+        elements = np.concatenate([_displaced_projectors(b, n_detect, dim) for b in betas])
+        elements.flags.writeable = False
+        object.__setattr__(self, "betas", betas)
+        object.__setattr__(self, "n_detect", n_detect)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "elements", elements)
+
+    @property
+    def settings(self) -> tuple:  # a displacement per block of elements
+        return self.betas

@@ -25,6 +25,7 @@ from .fock import (
     DensityMatrix,
     _checked_integer,
     _coordinates_to_hermitian,
+    _Rebuilt,
     homodyne_pdf_grid,
     real_coordinates,
 )
@@ -52,7 +53,7 @@ BARRIER_FLOOR = 1e-3  # mu * dim at which centring stops shrinking mu
 
 
 @dataclass(frozen=True, eq=False)
-class MeasurementData:
+class MeasurementData(_Rebuilt):
     """Counts of one measurement, simulated or measured: a read-only int64 matrix,
     a row per entry of its ``settings``, a column per outcome like its ``elements``
     (stacked by setting); every row has one positive sum, ``total_per_setting``."""

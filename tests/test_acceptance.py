@@ -10,11 +10,11 @@ from povmrank import (
     BinLayout,
     BinnedHomodyne,
     DensityMatrix,
+    DisplacedCounting,
     SupportSet,
     ambiguity_witness,
     build_binned_quadrature_povm,
     default_x_max,
-    displaced_counting_rank,
     fidelity,
     homodyne_pdf_grid,
     min_phases_for_completeness,
@@ -210,8 +210,10 @@ def test_criterion_7_photon_counting(capsys):
         for n in range(0, 60, 7)
     )
 
-    bare_ok = all(displaced_counting_rank([0.0], d, d).numerical_rank == d for d in (2, 3, 4))
-    displaced = displaced_counting_rank([0.0, 1.0, 1.0j, 1.0 + 1.0j], 2, 2)
+    bare_ok = all(
+        povm_span_rank([DisplacedCounting([0.0], d, d)]).numerical_rank == d for d in (2, 3, 4)
+    )
+    displaced = povm_span_rank([DisplacedCounting([0.0, 1.0, 1.0j, 1.0 + 1.0j], 2, 2)])
     with capsys.disabled():
         report(
             7,

@@ -8,6 +8,7 @@ from povmrank import completeness
 from povmrank import (
     BinLayout,
     DensityMatrix,
+    DisplacedCounting,
     MeasurementSpec,
     SupportSet,
     build_binned_quadrature_povm,
@@ -15,8 +16,6 @@ from povmrank import (
     default_phases,
     default_x_max,
     design_matrix,
-    displaced_counting_rank,
-    displaced_number_operator,
     hermite_function_table,
     hermitian_to_real_vector,
     min_phases_for_completeness,
@@ -65,6 +64,16 @@ def test_predicted_rank_rejects_bad_input():
         predicted_rank(3, 0)
 
 
+def _displaced_rank(betas, n_detect, dim):
+    # a displaced counting scheme is ranked as a measurement
+    return povm_span_rank([DisplacedCounting(betas, n_detect, dim)])
+
+
+def _displaced_projector(beta, n, dim):
+    # a single projector D(b)|n><n|D(b)^+ on dim levels
+    return DisplacedCounting([beta], max(n + 1, dim), dim).elements[n]
+
+
 @pytest.mark.parametrize(
     "func, args, name",
     [
@@ -77,10 +86,10 @@ def test_predicted_rank_rejects_bad_input():
         (rank_for, (SupportSet.contiguous(2), True, [0.0]), "m"),
         (default_phases, (SupportSet.contiguous(3), 2.0), "m"),
         (min_phases_for_completeness, (SupportSet.contiguous(3), 2.5), "m_max"),
-        (displaced_counting_rank, ([0.5], 3.0, 3), "n_detect"),
-        (displaced_counting_rank, ([0.5], 3, "3"), "dim"),
-        (displaced_number_operator, (0.5, 1, 2.0), "dim"),
-        (displaced_number_operator, (0.5, 1.0, 2), "n"),
+        pytest.param(_displaced_rank, ([0.5], 3.0, 3), "n_detect", id="displaced_counting_rank-args9-n_detect"),
+        pytest.param(_displaced_rank, ([0.5], 3, "3"), "dim", id="displaced_counting_rank-args10-dim"),
+        pytest.param(_displaced_projector, (0.5, 1, 2.0), "dim", id="displaced_number_operator-args11-dim"),
+        pytest.param(_displaced_projector, (0.5, 1.0, 2), "n_detect", id="displaced_number_operator-args12-n_detect"),
         (photon_number_probability, (0.5, 1.5), "n"),
         (photon_number_probability, (0.5, True), "n"),
         (coherent_amplitudes, (0.5, 2.0), "n_cut"),
@@ -88,6 +97,7 @@ def test_predicted_rank_rejects_bad_input():
         (hermite_function_table, (2.5, [0.1]), "n_max"),
         (SupportSet.contiguous, (2.0,), "dim"),
         (DensityMatrix.maximally_mixed, (2.0,), "dim"),
+        (DisplacedCounting, ([0.5], True, 2), "n_detect"),
     ],
 )
 def test_counting_api_rejects_sizes_that_are_not_integers(func, args, name):
@@ -411,34 +421,34 @@ def test_povm_span_rank_rejects_mixed_dims():
         povm_span_rank([a, b])
 
 
-# ------------------------------------------------------- displaced_counting_rank
+# ------------------------------------------------ ranking a DisplacedCounting
 
 
 def test_bare_counting_sees_only_populations():
     for d in (2, 3, 4):
-        assert displaced_counting_rank([0.0], d, d).numerical_rank == d
+        assert povm_span_rank([DisplacedCounting([0.0], d, d)]).numerical_rank == d
 
 
 def test_four_displacements_complete_a_qubit():
-    report = displaced_counting_rank([0.0, 1.0, 1.0j, 1.0 + 1.0j], 2, 2)
+    report = numerical_rank(DisplacedCounting([0.0, 1.0, 1.0j, 1.0 + 1.0j], 2, 2).born)
     assert report.numerical_rank == 4
 
 
 def test_duplicate_displacement_changes_nothing():
-    base = displaced_counting_rank([0.0, 1.0], 3, 3).numerical_rank
-    dup = displaced_counting_rank([0.0, 1.0, 1.0], 3, 3).numerical_rank
+    base = povm_span_rank([DisplacedCounting([0.0, 1.0], 3, 3)]).numerical_rank
+    dup = povm_span_rank([DisplacedCounting([0.0, 1.0, 1.0], 3, 3)]).numerical_rank
     assert dup == base
 
 
 def test_displaced_counting_requires_enough_outcomes():
     with pytest.raises(ValueError, match="n_detect"):
-        displaced_counting_rank([0.0], 2, 3)
+        DisplacedCounting([0.0], 2, 3)
 
 
 def test_displaced_counting_diagonalises_once_per_displacement(monkeypatch):
-    betas, n_detect, dim = [0.5, 1.0j, 1.0 + 1.0j, -0.7], 12, 6
+    betas, n_detect, dim = [0.5, 1.0j, 0.0, 1.0 + 1.0j, -0.7], 12, 6
     rows = [
-        hermitian_to_real_vector(displaced_number_operator(b, n, dim))
+        hermitian_to_real_vector(DisplacedCounting([b], max(n + 1, dim), dim).elements[n])
         for b in betas
         for n in range(n_detect)
     ]
@@ -450,7 +460,16 @@ def test_displaced_counting_diagonalises_once_per_displacement(monkeypatch):
         return eigh(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    report = displaced_counting_rank(betas, n_detect, dim)
-    assert len(calls) == len(betas)
+    measurement = DisplacedCounting(betas, n_detect, dim)
+    assert len(calls) == 4  # one per nonzero displacement; D(0) is the identity
     monkeypatch.undo()
+    report = povm_span_rank([measurement])
     assert np.array_equal(report.singular_values, numerical_rank(np.vstack(rows)).singular_values)
+
+
+@pytest.mark.parametrize("betas, n_detect, dim", [([0.0, 1.0, 1.0j], 3, 3), ([0.3, -2.0j], 9, 5)])
+def test_displaced_span_rank_is_the_rank_of_its_born_matrix(betas, n_detect, dim):
+    measurement = DisplacedCounting(betas, n_detect, dim)
+    span, born = povm_span_rank([measurement]), numerical_rank(measurement.born)
+    assert np.array_equal(span.singular_values, born.singular_values)
+    assert span.tolerance_used == born.tolerance_used

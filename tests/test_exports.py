@@ -1,9 +1,14 @@
 import ast
+import copy
+import dataclasses
 import importlib
+import pickle
 import sys
 from dataclasses import FrozenInstanceError
+from operator import attrgetter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import povmrank
@@ -11,6 +16,7 @@ from povmrank import (
     BinLayout,
     BinnedHomodyne,
     DensityMatrix,
+    DisplacedCounting,
     SupportSet,
     build_binned_quadrature_povm,
     default_x_max,
@@ -90,6 +96,7 @@ def _value_objects():
     data = simulate_dataset(DensityMatrix.pure([1.0, 1.0j]), measurement, 500, seed=4)
     result = ml_reconstruct(data, max_iters=5)
     report = rank_for(SupportSet.contiguous(2), 1)
+    displaced = DisplacedCounting([0.0, 0.7j], 3, 2)
     # [label-]type name -> (object, one of its fields, the array it stores or None)
     return {
         "DensityMatrix": (result.estimate, "entries", result.estimate.entries),
@@ -99,13 +106,14 @@ def _value_objects():
         "MeasurementData": (data, "counts", data.counts),
         "ReconstructionResult": (result, "log_likelihood_trace", None),
         "RankReport": (report, "singular_values", report.singular_values),
+        "DisplacedCounting": (displaced, "elements", displaced.elements),
     }
 
 
 @pytest.mark.parametrize(
     "kind",
     ["DensityMatrix", "one-phase-BinnedHomodyne", "BinLayout", "BinnedHomodyne",
-     "MeasurementData", "ReconstructionResult", "RankReport"],
+     "MeasurementData", "ReconstructionResult", "RankReport", "DisplacedCounting"],
 )
 def test_value_types_are_immutable_after_validation(kind):
     obj, name, array = _value_objects()[kind]
@@ -120,10 +128,38 @@ def test_value_types_are_immutable_after_validation(kind):
 @pytest.mark.parametrize(
     "kind, equal",
     [("DensityMatrix", False), ("one-phase-BinnedHomodyne", False), ("BinnedHomodyne", False),
-     ("MeasurementData", False), ("RankReport", False), ("BinLayout", True)],
+     ("MeasurementData", False), ("RankReport", False), ("DisplacedCounting", False),
+     ("BinLayout", True)],
 )
 def test_array_holding_values_compare_by_identity(kind, equal):
     obj = _value_objects()[kind][0]
     rebuilt = _value_objects()[kind][0]  # same inputs, distinct instance
     assert obj == obj
     assert (obj == rebuilt) is equal
+
+
+def _stored_arrays(obj, path=""):
+    """(attribute path, array) for every array a value stores, through the values it holds."""
+    for name, value in vars(obj).items():
+        if isinstance(value, np.ndarray):
+            yield path + name, value
+        elif dataclasses.is_dataclass(value):
+            yield from _stored_arrays(value, f"{path}{name}.")
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [lambda value: pickle.loads(pickle.dumps(value)), copy.copy, copy.deepcopy],
+    ids=["pickle", "copy", "deepcopy"],
+)
+def test_copies_and_pickles_store_read_only_equal_arrays(clone):
+    for kind, (obj, _, array) in _value_objects().items():
+        getattr(obj, "born", None)  # a measurement's cached born is stored too
+        arrays = dict(_stored_arrays(obj))
+        assert array is None or any(stored is array for stored in arrays.values()), kind
+        other = clone(obj)
+        assert type(other) is type(obj)
+        for path, stored in arrays.items():
+            copied = attrgetter(path)(other)
+            assert not copied.flags.writeable, (kind, path)
+            assert np.array_equal(copied, stored), (kind, path)

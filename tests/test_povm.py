@@ -14,10 +14,10 @@ from scipy.special import eval_hermite
 from povmrank import (
     BinLayout,
     BinnedHomodyne,
+    DisplacedCounting,
     build_binned_quadrature_povm,
     coherent_amplitudes,
     default_x_max,
-    displaced_number_operator,
     povm_span_rank,
     quadrature_bin_operator,
     real_coordinates,
@@ -494,21 +494,21 @@ def test_the_memo_leaves_layout_equality_hash_and_repr_alone():
         BinLayout(3.0, 5, _memo={})
 
 
-# ------------------------------------------------------ displaced_number_operator
+# ------------------------------------------------------------ DisplacedCounting
 
 
 def test_displaced_zero_is_exact_number_projector():
+    elements = DisplacedCounting([0.0], 6, 6).elements
     for n in (0, 2, 5):
-        op = displaced_number_operator(0.0, n, 6)
         expect = np.zeros((6, 6), dtype=complex)
         expect[n, n] = 1.0
-        assert np.array_equal(op, expect)
+        assert np.array_equal(elements[n], expect)
 
 
 def test_displaced_vacuum_matches_coherent_projector():
     beta = 0.9 - 0.6j
     dim = 6
-    op = displaced_number_operator(beta, 0, dim)
+    op = DisplacedCounting([beta], dim, dim).elements[0]
     vec = coherent_amplitudes(beta, dim)
     proj = np.outer(vec, vec.conj())
     assert np.max(np.abs(op - proj)) < 1e-9
@@ -517,13 +517,38 @@ def test_displaced_vacuum_matches_coherent_projector():
 def test_displaced_family_resolves_identity():
     beta, dim = 0.7 + 0.2j, 3
     guard = dim + 4 * math.ceil(abs(beta) ** 2) + 20
-    total = sum(
-        displaced_number_operator(beta, n, dim) for n in range(guard)
-    )
+    total = DisplacedCounting([beta], guard, dim).elements.sum(axis=0)
     assert np.max(np.abs(total - np.eye(dim))) < 1e-8
 
 
 def test_displaced_operator_is_psd_hermitian():
-    op = displaced_number_operator(1.1 + 0.4j, 3, 5)
-    assert np.max(np.abs(op - op.conj().T)) < 1e-9
-    assert np.linalg.eigvalsh(op).min() > -1e-9
+    elements = DisplacedCounting([1.1 + 0.4j], 5, 5).elements
+    assert np.max(np.abs(elements - elements.conj().transpose(0, 2, 1))) < 1e-9
+    assert np.linalg.eigvalsh(elements).min() > -1e-9
+
+
+def test_displaced_counting_stacks_its_settings_in_order():
+    betas = [0.0, 0.5j, -1.2]
+    measurement = DisplacedCounting(np.array(betas), 7, 4)
+    assert measurement.betas == measurement.settings == (0.0, 0.5j, -1.2 + 0j)
+    assert measurement.elements.shape == (21, 4, 4)
+    for i, beta in enumerate(betas):
+        block = DisplacedCounting([beta], 7, 4).elements
+        assert np.array_equal(measurement.elements[7 * i : 7 * i + 7], block)
+    with pytest.raises(ValueError, match="read-only"):
+        measurement.elements[0, 0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        measurement.born[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf, complex(1.0, math.nan), complex(0.0, -math.inf)])
+def test_displaced_counting_rejects_non_finite_displacements(beta):
+    with pytest.raises(ValueError, match="^displacements must be finite$"):
+        DisplacedCounting([0.5, beta], 3, 3)
+
+
+def test_displaced_counting_rejects_empty_settings_and_empty_dims():
+    with pytest.raises(ValueError, match="at least one displacement"):
+        DisplacedCounting([], 3, 3)
+    with pytest.raises(ValueError, match="dim must be positive"):
+        DisplacedCounting([0.5], 3, 0)

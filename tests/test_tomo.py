@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 import warnings
@@ -11,6 +12,7 @@ from povmrank import (
     BinLayout,
     BinnedHomodyne,
     DensityMatrix,
+    DisplacedCounting,
     MeasurementData,
     ReconstructionResult,
     ambiguity_witness,
@@ -21,6 +23,7 @@ from povmrank import (
     fidelity,
     homodyne_pdf_grid,
     ml_reconstruct,
+    numerical_rank,
     real_coordinates,
     sample_homodyne,
     simulate_dataset,
@@ -669,3 +672,41 @@ def test_a_qubit_pauli_measurement_round_trips():
     plus_i, minus_i = DensityMatrix.pure([1.0, 1.0j]), DensityMatrix.pure([1.0, -1.0j])
     assert ambiguity_witness([plus_i, minus_i], measurement) == pytest.approx(1.0)
     assert ambiguity_witness([plus_i, minus_i], _pauli_measurement("XZ")) < 1e-15
+
+
+# ------------------------------------------------------ displaced photon counting
+
+# no displacement, then five on the unit circle: 6 settings, 16 = 4^2 in span
+UNIT_CIRCLE = [0.0] + [cmath.exp(2j * math.pi * k / 5) for k in range(5)]
+
+
+def _coherent(alpha, dim=4):
+    return DensityMatrix.pure(coherent_amplitudes(alpha, dim))
+
+
+def test_displaced_counting_round_trips():
+    rho_true = _coherent(0.4 + 0.2j)
+    measurement = DisplacedCounting(UNIT_CIRCLE, 24, 4)
+    assert numerical_rank(measurement.born).numerical_rank == 16
+    data = simulate_dataset(rho_true, measurement, 100_000, seed=1)
+    assert data.settings == measurement.betas
+    assert data.counts.shape == (len(UNIT_CIRCLE), 24) and data.total_per_setting == 100_000
+    result = ml_reconstruct(data)
+    assert result.stop == "certified"
+    assert fidelity(result.estimate, rho_true) >= 0.99
+
+
+def test_displaced_counting_witness():
+    measurement = DisplacedCounting(UNIT_CIRCLE, 24, 4)
+    coherent, mixed = _coherent(0.4 + 0.2j), DensityMatrix.maximally_mixed(4)
+    assert ambiguity_witness([coherent, mixed], measurement) > 0.1
+    # bare counting sees only populations: a coherent state and its rotation agree
+    turned = _coherent(1j * (0.4 + 0.2j))
+    assert ambiguity_witness([coherent, turned], DisplacedCounting([0.0], 4, 4)) < 1e-15
+    assert ambiguity_witness([coherent, turned], measurement) > 0.1
+
+
+def test_displaced_counting_without_enough_outcomes_rejects_lost_mass():
+    measurement = DisplacedCounting(UNIT_CIRCLE, 4, 4)  # counts n >= 4 have no outcome
+    with pytest.raises(ValueError, match="sum to total_per_setting"):
+        simulate_dataset(_coherent(0.4 + 0.2j), measurement, 100_000, seed=1)
