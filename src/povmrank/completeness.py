@@ -4,7 +4,8 @@ photon-counting measurements on (possibly sparse) Fock supports.
 The closed-form predictor m(2d-m) (capped at d^2) is checked against a
 numerical rank oracle: the quadrature probability functionals of a support
 and its phases, over the real parametrization of Hermitian operators on the
-support, form a design matrix whose singular spectrum certifies the count.
+support, form a design matrix whose singular spectrum certifies the count
+(rank_for: from its Fock-offset blocks at equispaced phases, else parity blocks).
 A measurement with elements and dim (a povm.BinnedHomodyne or
 DisplacedCounting) is ranked by povm_span_rank or numerical_rank(m.born).
 """
@@ -230,23 +231,50 @@ def _parity_split_rank(spec: MeasurementSpec) -> RankReport:
     return _certified(sv, shape)
 
 
+def _offset_block_rank(support: SupportSet, m: int) -> RankReport:
+    """numerical_rank(design_matrix(spec)) at the phases j*pi/m from its
+    Fock-offset blocks.  The rows at -x are those at x turned by pi; in
+    complex entries X_kl (a unitary change of columns) and after a unitary
+    DFT over the 2m phases j*pi/m, j < 2m, block r = (k-l) mod 2m has entries
+    sqrt(2m) psi_k psi_l at the positive nodes.  Blocks r and 2m-r are equal
+    up to swapping (k, l): r = 0..m take one batched SVD, r = 1..m-1 count twice."""
+    sup = np.array(support.indices)
+    psi = _positive_node_table(int(sup[-1]))[sup]  # [level, node]
+    k, l = np.divmod(np.arange(sup.size**2), sup.size)
+    offset = (sup[k] - sup[l]) % (2 * m)
+    cols = np.argsort(offset, kind="stable")
+    cols = cols[offset[cols] <= m]  # grouped by block
+    k, l, offset = k[cols], l[cols], offset[cols]
+    widths = np.bincount(offset, minlength=m + 1)
+    stack = np.zeros((m + 1, widths.max(), psi.shape[1]))
+    stack[offset, np.arange(offset.size) - np.searchsorted(offset, offset)] = psi[k] * psi[l]
+    counts = np.minimum(widths, psi.shape[1])
+    kept = np.linalg.svd(stack, compute_uv=False)[np.arange(counts.max()) < counts[:, None]]
+    copies = np.repeat(np.where(np.arange(m + 1) % m == 0, 1, 2), counts)
+    sv = math.sqrt(2.0 * m) * np.sort(np.repeat(kept, copies))[::-1]
+    shape = (2 * m * psi.shape[1], sup.size**2)
+    return _certified(np.concatenate([sv, np.zeros(min(shape) - sv.size)]), shape)
+
+
 def rank_for(support: SupportSet, m: int, phases=None) -> RankReport:
     """Rank of the functional span for m phase settings on the support.
 
     Phases default to default_phases(support, m); explicit phases must
     number m.  The closed-form prediction is attached when the support is
-    contiguous 0..d-1.  The count is that of
-    numerical_rank(design_matrix(spec)), taken from its parity blocks.
+    contiguous 0..d-1.  The count is that of numerical_rank(design_matrix(spec)),
+    taken from its Fock-offset blocks when the phases are defaulted on a
+    contiguous support (the grid j*pi/m), else from its parity blocks.
     """
     m = _checked_integer(m, "m")
     if m < 1:
         raise ValueError("m must be positive")
-    if phases is None:
-        phases = default_phases(support, m)
-    spec = MeasurementSpec(support, phases)
-    if len(spec.phases) != m:
-        raise ValueError(f"m={m} does not match the {len(spec.phases)} phases given")
-    report = _parity_split_rank(spec)
+    if phases is None and support.is_contiguous:
+        report = _offset_block_rank(support, m)
+    else:
+        spec = MeasurementSpec(support, default_phases(support, m) if phases is None else phases)
+        if len(spec.phases) != m:
+            raise ValueError(f"m={m} does not match the {len(spec.phases)} phases given")
+        report = _parity_split_rank(spec)
     if support.is_contiguous:
         report = replace(report, predicted_rank=predicted_rank(support.size, m))
     return report

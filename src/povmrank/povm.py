@@ -214,12 +214,21 @@ class BinnedHomodyne(_Measurement):
         return tuple((theta, self.layout) for theta in self.phases)
 
 
+_MAX_LADDER = 2048  # a complex ladder of 2048 levels is 67 MB per matrix
+
+
 def _displaced_projectors(beta: complex, n_detect: int, dim: int) -> np.ndarray:
     """D(b)|n><n|D(b)^+ on dim levels for n < n_detect.  D(b) = exp(b a^+ - b* a)
     is exponentiated on a ladder of dim + 4 ceil(|b|^2) + 20 levels (n_detect if
     more) through the eigendecomposition of its Hermitian generator: exactly
-    unitary, with truncation error in its dim-block below ~1e-9."""
+    unitary, with truncation error in its dim-block below ~1e-9.  A ladder of
+    more than _MAX_LADDER levels is refused before anything is allocated."""
     work_dim = max(dim + 4 * math.ceil(abs(beta) ** 2) + 20, n_detect)
+    if work_dim > _MAX_LADDER:
+        raise ValueError(
+            f"|beta|={abs(beta):.6g} with n_detect={n_detect} needs a ladder of "
+            f"{work_dim} levels, more than {_MAX_LADDER}"
+        )
     displacement = np.eye(work_dim, dtype=complex)
     if beta != 0:
         lower = np.diag(np.sqrt(np.arange(1.0, work_dim)), 1)  # annihilation

@@ -265,7 +265,7 @@ def test_rank_for_reaches_high_fock_indices_without_warnings(indices, rank):
 
 
 def _assert_rank_for_matches_full_svd(support, m, phases=None):
-    """rank_for's parity blocks against the SVD of the whole design matrix."""
+    """rank_for's blocks against the SVD of the whole design matrix."""
     report = rank_for(support, m, phases)
     matrix = design_matrix(MeasurementSpec(support, phases or default_phases(support, m)))
     full = numerical_rank(matrix)
@@ -301,6 +301,47 @@ def test_rank_for_matches_full_svd_on_sparse_supports(indices):
     for m in range(1, 5):
         _assert_rank_for_matches_full_svd(support, m)
         _assert_rank_for_matches_full_svd(support, m, list(np.sort(rng.random(m) * math.pi)))
+
+
+@pytest.mark.parametrize("d", [13, 20, 30])
+def test_offset_blocks_match_the_parity_split_at_default_phases(d):
+    # explicit phases take the parity split; defaulted ones the offset blocks
+    support = SupportSet.contiguous(d)
+    for m in range(1, 13):
+        blocks = rank_for(support, m)
+        parity = rank_for(support, m, default_phases(support, m))
+        assert blocks.numerical_rank == parity.numerical_rank
+        assert blocks.tolerance_used == pytest.approx(parity.tolerance_used, rel=1e-14)
+        assert blocks.singular_values.size == parity.singular_values.size
+        top = parity.singular_values[0]
+        assert np.max(np.abs(blocks.singular_values - parity.singular_values)) <= 1e-13 * top
+
+
+@pytest.mark.parametrize("indices", [(0, 4, 8), (0, 1, 3, 7), (2, 5, 6, 9, 11)])
+def test_offset_blocks_match_the_full_svd_on_sparse_supports(indices):
+    support = SupportSet(indices)
+    for m in range(1, 6):
+        blocks = completeness._offset_block_rank(support, m)
+        matrix = design_matrix(MeasurementSpec(support, [j * math.pi / m for j in range(m)]))
+        full = numerical_rank(matrix)
+        assert blocks.numerical_rank == full.numerical_rank
+        assert blocks.singular_values.size == full.singular_values.size == min(matrix.shape)
+        top = full.singular_values[0]
+        assert np.max(np.abs(blocks.singular_values - full.singular_values)) <= 1e-13 * top
+
+
+def test_default_phase_rank_never_factors_a_matrix_wider_than_the_support(monkeypatch):
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    rank_for(SupportSet.contiguous(40), 12)
+    assert shapes
+    assert all(min(shape[-2:]) <= 40 for shape in shapes)
 
 
 def test_rank_for_rejects_phase_count_mismatch():

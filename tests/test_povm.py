@@ -552,3 +552,20 @@ def test_displaced_counting_rejects_empty_settings_and_empty_dims():
         DisplacedCounting([], 3, 3)
     with pytest.raises(ValueError, match="dim must be positive"):
         DisplacedCounting([0.5], 3, 0)
+
+
+def test_displaced_counting_refuses_a_ladder_beyond_its_limit():
+    # |beta| = 100 would need a dense ladder of 40,023 levels (25.6 GB)
+    with pytest.raises(ValueError, match=r"\|beta\|=100 with n_detect=3 needs a ladder of 40023 levels"):
+        DisplacedCounting([100], 3, 3)
+    with pytest.raises(ValueError, match="n_detect=2049 needs a ladder of 2049 levels"):
+        DisplacedCounting([0.0], 2049, 1)
+    assert DisplacedCounting([0.0], 2048, 1).elements.shape == (2048, 1, 1)
+
+
+def test_displaced_counting_still_builds_at_beta_fifteen():
+    elements = DisplacedCounting([15.0], 4, 4).elements
+    assert elements.shape == (4, 4, 4)
+    assert np.all(np.isfinite(elements))
+    # D(15)|n> for n < 4 keeps a weight of about e^-225 on the lowest four levels
+    assert np.abs(np.trace(elements.sum(axis=0))) < 1e-20
