@@ -247,14 +247,20 @@ def real_coordinates(ops) -> np.ndarray:
     if ops.ndim < 2 or ops.shape[-1] != ops.shape[-2]:
         raise ValueError("operators must be square matrices")
     k, l = _upper_pairs(ops.shape[-1])
-    upper = ops[..., k, l]
-    diag = np.diagonal(ops, axis1=-2, axis2=-1)
     # max |A - A^+| entrywise, from the upper triangle and the diagonal,
     # against 1e-10 max(1, largest |entry|); the scale is read only when needed
-    asym = max(float(np.abs(upper - np.conj(ops[..., l, k])).max(initial=0.0)),
-               2.0 * float(np.abs(np.imag(diag)).max(initial=0.0)))
+    asym = max(float(np.abs(ops[..., k, l] - np.conj(ops[..., l, k])).max(initial=0.0)),
+               2.0 * float(np.abs(np.imag(np.diagonal(ops, axis1=-2, axis2=-1))).max(initial=0.0)))
     if asym > 1e-10 and asym > 1e-10 * float(np.abs(ops).max()):
         raise ValueError(f"operator is not Hermitian (max asymmetry {asym:.3e})")
+    return _real_parts(ops)
+
+
+def _real_parts(ops: np.ndarray) -> np.ndarray:
+    """real_coordinates without its Hermitian check, for matrices Hermitian by construction."""
+    k, l = _upper_pairs(ops.shape[-1])
+    upper = ops[..., k, l]
+    diag = np.diagonal(ops, axis1=-2, axis2=-1)
     sq2 = math.sqrt(2.0)
     return np.concatenate(
         [

@@ -7,10 +7,12 @@ B_j = v(E_j) (fock.real_coordinates), so p = B v(rho) is every outcome
 probability: simulated count matrices are multinomial draws from it
 (sample_homodyne and bin_samples are for raw samples), and the estimator
 maximizes L(rho) = sum_j n_j log p_j by a log-barrier Newton method (Boyd
-and Vandenberghe, Convex Optimization, ch. 11).  It stops once the
-concavity bound L_max - L(rho) <= N (lambda_max(R) - 1),
-R = sum_j (f_j / p_j) E_j (Glancy, Knill and Girard, NJP 14, 095017
-(2012)), certifies the estimate to within ML_GAP_TOL nats.
+and Vandenberghe, Convex Optimization, ch. 11) whose line search starts
+BOUNDARY_FRACTION of the way to the boundary of rho > 0 when the full step
+would cross it.  It stops once the concavity bound
+L_max - L(rho) <= N (lambda_max(R) - 1), R = sum_j (f_j / p_j) E_j
+(Glancy, Knill and Girard, NJP 14, 095017 (2012)), certifies the estimate
+to within ML_GAP_TOL nats.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .fock import (
     DensityMatrix,
     _checked_integer,
     _coordinates_to_hermitian,
+    _real_parts,
     _Rebuilt,
     homodyne_pdf_grid,
     real_coordinates,
@@ -50,6 +53,7 @@ ML_GAP_TOL = 0.1  # nats: the certified bound on L_max - L(estimate) that stops 
 STOPS = ("certified", "max_iters", "singular")
 CENTRED_RISE = 0.25  # nats of (L + mu log det rho) / mu: a smaller Newton gain means centred
 BARRIER_FLOOR = 1e-3  # mu * dim at which centring stops shrinking mu
+BOUNDARY_FRACTION = 0.95  # of the way to rho > 0's boundary: a line search's first t when 1 crosses it
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,12 +232,15 @@ def ml_reconstruct(data: MeasurementData, *, max_iters: int = 5000) -> Reconstru
     shrinks tenfold once the iterate is centred (a Newton step would raise
     the objective over mu by under CENTRED_RISE nats), down to
     mu dim = BARRIER_FLOOR, and further while the step would not raise L.
-    Backtracking keeps rho > 0 and takes a step only if L rises and the
-    objective rises enough, so the trace (L at the start plus the rise of
-    each Newton step, 0 for a failed line search) never decreases.  Stops
-    "certified" once N (lambda_max(R) - 1) <= ML_GAP_TOL, checked before the
-    first step and after every one, else "max_iters"; an observed bin whose
-    p reaches the 1e-300 floor stops it "singular" and warns.
+    The line search tries t = 1, or t = BOUNDARY_FRACTION / worst when the
+    boundary lies at t = 1 / worst <= 1 (worst the largest of -lambda(Y) and
+    -dp_j / p_j), then halves t; it keeps rho > 0 and takes a step only if L
+    rises and the objective rises enough, so the trace (L at the start plus
+    the rise of each Newton step, 0 for a failed line search) never
+    decreases.  Stops "certified" once N (lambda_max(R) - 1) <= ML_GAP_TOL,
+    checked before the first step and after every one, else "max_iters"; an
+    observed bin whose p reaches the 1e-300 floor stops it "singular" and
+    warns.
     """
     max_iters = _checked_integer(max_iters, "max_iters")
     if max_iters < 0:
@@ -243,10 +250,11 @@ def ml_reconstruct(data: MeasurementData, *, max_iters: int = 5000) -> Reconstru
     total = counts.sum()
     seen = np.flatnonzero(counts)
     seen_counts = counts[seen]
+    root_counts = np.sqrt(seen_counts)
     born = data.measurement.born[seen]
     elements = data.measurement.elements[seen]
     unit, eye = real_coordinates(np.eye(dim)), np.eye(dim * dim)  # v(I), and I on y
-    bordered = np.zeros((dim * dim + 1,) * 2)  # [H, c; c^T, 0]: Newton under c . y = 0
+    bordered, rhs = np.zeros((dim * dim + 1,) * 2), np.zeros(dim * dim + 1)  # [H, c; c^T, 0], [slope; 0]
 
     def gap(p):  # N (lambda_max(R) - 1), R = sum_j (f_j / p_j) E_j
         r_op = ((seen_counts / (total * p)) @ elements.reshape(len(p), -1)).reshape(dim, dim)
@@ -266,15 +274,15 @@ def ml_reconstruct(data: MeasurementData, *, max_iters: int = 5000) -> Reconstru
         # Hessian is mu I however ill-conditioned rho is (Newton is affine invariant)
         evals, evecs = np.linalg.eigh(rho)
         scale = evecs * np.sqrt(evals)
-        scaled = real_coordinates(_congruence(scale, elements))  # v(S^+ E_j S)
+        scaled = _real_parts(_congruence(scale, elements))  # v(S^+ E_j S)
         grad = scaled.T @ (seen_counts / p)
-        weighted = scaled * (np.sqrt(seen_counts) / p)[:, None]
+        weighted = scaled * (root_counts / p)[:, None]
         curvature = weighted.T @ weighted
         bordered[-1, :dim] = bordered[:dim, -1] = evals  # Tr(S Y S^+) = Tr(Lambda Y)
         while True:
             bordered[:-1, :-1] = curvature + mu * eye
-            slope = grad + mu * unit
-            step = np.linalg.solve(bordered, np.append(slope, 0.0))[:-1]
+            slope = rhs[:-1] = grad + mu * unit
+            step = np.linalg.solve(bordered, rhs)[:-1]
             decrement = slope @ step  # lambda^2: a Newton step gains about half of it
             # centred on the scale of the objective over mu (self-concordant there);
             # the ascent rule stops where mu is lost against the N-sized curvature
@@ -287,9 +295,10 @@ def ml_reconstruct(data: MeasurementData, *, max_iters: int = 5000) -> Reconstru
         ratio = (scaled @ step) / p  # dp_j / p_j
         y = _coordinates_to_hermitian(step)
         lam = np.linalg.eigvalsh(y)  # rho + t d_rho > 0 iff all 1 + t lam > 0
-        t, gain = 1.0, 0.0
+        worst = max(-lam[0], -ratio.min())  # the boundary lies at t = 1 / worst
+        t, gain = (BOUNDARY_FRACTION / worst if worst >= 1.0 else 1.0), 0.0
         for _ in range(50):  # the rise comes from dp / p: L(new) - L(old) would be rounding noise
-            if t * lam[0] > -1.0 and t * ratio.min() > -1.0:
+            if t * worst < 1.0:
                 rise = math.fsum((seen_counts * np.log1p(t * ratio)).tolist())
                 if rise > 0.0 and rise + mu * np.log1p(t * lam).sum() >= 0.01 * t * decrement:
                     gain = rise

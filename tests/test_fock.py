@@ -317,6 +317,16 @@ def test_real_coordinates_rejects_one_non_hermitian_element(rng, entry):
         real_coordinates(batch)
 
 
+def test_unchecked_real_parts_equal_real_coordinates_bit_for_bit(rng):
+    # ml_reconstruct reads S^+ E_j S, Hermitian by construction, without the check
+    from povmrank.fock import _real_parts
+
+    for dim in (1, 3, 6):
+        ops = np.stack([_random_hermitian(rng, dim) for _ in range(5)])
+        for batch in (ops, ops[2]):
+            assert np.array_equal(_real_parts(batch), real_coordinates(batch))
+
+
 def test_real_coordinates_accept_a_large_norm_hermitian_operator(rng):
     # W G W with W the inverse of a d = 8 state whose smallest eigenvalues
     # are 5e-6 to 2e-5: entries near 1e9 carry a rounding asymmetry far

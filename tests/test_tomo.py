@@ -456,6 +456,22 @@ def test_ml_certifies_ill_conditioned_d8_coherent_data_quickly():
     assert fidelity(result.estimate, rho_true) >= 0.99
 
 
+def test_ml_line_search_starts_near_the_boundary():
+    # halving t from 1 stopped anywhere between 50 % and 100 % of the way to
+    # the PSD boundary: 30 + 28 Newton steps on these data sets; a first trial
+    # at BOUNDARY_FRACTION of the way takes 23 + 23
+    dim = 12
+    rho_true = DensityMatrix.pure(coherent_amplitudes(1.0, dim))
+    phases = [j * math.pi / dim for j in range(dim)]
+    measurement = BinnedHomodyne(phases, BinLayout(default_x_max(dim), 48), dim)
+    steps = 0
+    for seed in (1, 2):
+        result = ml_reconstruct(simulate_dataset(rho_true, measurement, 100_000, seed=seed))
+        assert result.stop == "certified" and result.gap_bound <= 0.1
+        steps += result.iterations
+    assert steps <= 52
+
+
 def test_ml_stops_at_max_iters_without_a_certificate():
     _rho_true, data = _criterion_6_data()
     result = ml_reconstruct(data, max_iters=3)
