@@ -107,7 +107,7 @@ def _cmd_predict(args, parser) -> int:
 
 
 def _cmd_table(args, parser) -> int:
-    if args.d_max < 2 or args.m_max < 1:
+    if args.d_max < 2:
         parser.error("--d-max must be at least 2 and --m-max at least 1")
     table = sweep_table(range(2, args.d_max + 1), range(1, args.m_max + 1))
     if args.format == "json":

@@ -214,36 +214,33 @@ class BinnedHomodyne(_Measurement):
         return tuple((theta, self.layout) for theta in self.phases)
 
 
-_MAX_LADDER = 2048  # a complex ladder of 2048 levels is 67 MB per matrix
-
-
 def _displaced_projectors(beta: complex, n_detect: int, dim: int) -> np.ndarray:
-    """D(b)|n><n|D(b)^+ on dim levels for n < n_detect.  D(b) = exp(b a^+ - b* a)
-    is exponentiated on a ladder of dim + 4 ceil(|b|^2) + 20 levels (n_detect if
-    more) through the eigendecomposition of its Hermitian generator: exactly
-    unitary, with truncation error in its dim-block below ~1e-9.  A ladder of
-    more than _MAX_LADDER levels is refused before anything is allocated."""
-    work_dim = max(dim + 4 * math.ceil(abs(beta) ** 2) + 20, n_detect)
-    if work_dim > _MAX_LADDER:
-        raise ValueError(
-            f"|beta|={abs(beta):.6g} with n_detect={n_detect} needs a ladder of "
-            f"{work_dim} levels, more than {_MAX_LADDER}"
-        )
-    displacement = np.eye(work_dim, dtype=complex)
+    """D(b)|n><n|D(b)^+ on dim levels for n < n_detect, from <k|D(b)|n> =
+    sqrt(lo!/hi!) e^{-|b|^2/2} c^a L_lo^(a)(|b|^2), lo = min(k, n), a = |k - n|,
+    c = b if k > n else -b* (Cahill and Glauber, Phys. Rev. 177, 1857 (1969)):
+    exact to rounding in O(n_detect dim^2), or ValueError outside the float range."""
+    cols = np.eye(n_detect, dim, dtype=complex)
     if beta != 0:
-        lower = np.diag(np.sqrt(np.arange(1.0, work_dim)), 1)  # annihilation
-        generator = beta * lower.T - beta.conjugate() * lower
-        lam, vec = np.linalg.eigh(-1j * generator)
-        displacement = (vec * np.exp(1j * lam)) @ vec.conj().T
-    cols = displacement[:dim, :n_detect].T  # D(b)|n>, n < n_detect
+        n, k = np.ogrid[:n_detect, :dim]
+        with np.errstate(over="ignore", invalid="ignore"):
+            lo, a, r = np.minimum(n, k), np.abs(n - k), np.abs(beta)
+            x, unit, prev, cur, lag = r * r, beta / r, 0.0, 1.0, 1.0  # Python's division: finite at subnormal r
+            for j in range(1, dim):  # Laguerre recurrence; lag keeps L_lo^(a)(x)
+                prev, cur = cur, ((2 * j - 1 + a - x) * cur - (j - 1 + a) * prev) / j
+                lag = np.where(lo == j, cur, lag)
+            log_fact = np.cumsum(np.log(np.maximum(np.arange(n_detect), 1.0)))  # log n!
+            size = np.exp(0.5 * (log_fact[lo] - log_fact[lo + a]) + a * np.log(r) - x / 2)
+            cols = size * lag * np.where(k > n, unit, -unit.conjugate()) ** a
+        if not np.isfinite(cols).all():
+            raise ValueError(f"|beta|={r:.6g} on dim={dim} levels leaves the float range")
     return cols[:, :, None] * cols[:, None, :].conj()
 
 
 @dataclass(frozen=True, eq=False)
 class DisplacedCounting(_Measurement):
     """Photon counting behind a displacement D(b), a setting per b, on dim levels:
-    ``elements`` [len(betas) * n_detect, dim, dim] are the projectors for
-    n < n_detect (at least dim), n ascending.  With no remainder element
+    ``elements`` [len(betas) * n_detect, dim, dim] are the projectors for n < n_detect
+    (at least dim), n ascending, each exact to rounding.  With no remainder element
     I - sum_n E_n, a count of n >= n_detect falls outside the outcomes."""
 
     betas: tuple

@@ -298,11 +298,10 @@ def ml_reconstruct(data: MeasurementData, *, max_iters: int = 5000) -> Reconstru
         worst = max(-lam[0], -ratio.min())  # the boundary lies at t = 1 / worst
         t, gain = (BOUNDARY_FRACTION / worst if worst >= 1.0 else 1.0), 0.0
         for _ in range(50):  # the rise comes from dp / p: L(new) - L(old) would be rounding noise
-            if t * worst < 1.0:
-                rise = math.fsum((seen_counts * np.log1p(t * ratio)).tolist())
-                if rise > 0.0 and rise + mu * np.log1p(t * lam).sum() >= 0.01 * t * decrement:
-                    gain = rise
-                    break
+            rise = math.fsum((seen_counts * np.log1p(t * ratio)).tolist())
+            if rise > 0.0 and rise + mu * np.log1p(t * lam).sum() >= 0.01 * t * decrement:
+                gain = rise
+                break
             t *= 0.5
         if gain > 0.0:
             move = scale @ (t * y) @ scale.conj().T

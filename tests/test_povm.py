@@ -554,13 +554,40 @@ def test_displaced_counting_rejects_empty_settings_and_empty_dims():
         DisplacedCounting([0.5], 3, 0)
 
 
-def test_displaced_counting_refuses_a_ladder_beyond_its_limit():
-    # |beta| = 100 would need a dense ladder of 40,023 levels (25.6 GB)
-    with pytest.raises(ValueError, match=r"\|beta\|=100 with n_detect=3 needs a ladder of 40023 levels"):
-        DisplacedCounting([100], 3, 3)
-    with pytest.raises(ValueError, match="n_detect=2049 needs a ladder of 2049 levels"):
-        DisplacedCounting([0.0], 2049, 1)
-    assert DisplacedCounting([0.0], 2048, 1).elements.shape == (2048, 1, 1)
+def test_displaced_counting_has_no_size_limit_inside_the_float_range():
+    # D(100)|n> keeps a weight of about e^-10^4 on levels < 3: it underflows to 0
+    elements = DisplacedCounting([100], 3, 3).elements
+    assert np.all(np.isfinite(elements)) and np.max(np.abs(elements)) < 1e-300
+    elements = DisplacedCounting([0.0], 2049, 1).elements
+    assert np.array_equal(elements[:, 0, 0], np.eye(2049, 1)[:, 0])
+    # L_39^(a)(10^10) is about 10^390 / 39!: beyond the float range
+    with pytest.raises(ValueError, match=r"^\|beta\|=100000 on dim=40 levels leaves the float range$"):
+        DisplacedCounting([1e5], 40, 40)
+
+
+def _ladder_projectors(beta, n_detect, dim):
+    # reference: D(b) exponentiated on a ladder of dim + 4 ceil(|b|^2) + 20 levels
+    # (n_detect if more) through the eigendecomposition of its Hermitian generator
+    work_dim = max(dim + 4 * math.ceil(abs(beta) ** 2) + 20, n_detect)
+    lower = np.diag(np.sqrt(np.arange(1.0, work_dim)), 1)  # annihilation
+    lam, vec = np.linalg.eigh(-1j * (beta * lower.T - np.conj(beta) * lower))
+    cols = ((vec * np.exp(1j * lam)) @ vec.conj().T)[:dim, :n_detect].T  # D(b)|n>
+    return cols[:, :, None] * cols[:, None, :].conj()
+
+
+@pytest.mark.parametrize("beta", [0.3, -1.2j, 0.7 + 0.4j, 2.0 - 1.0j, -3.5, 5.0j])
+def test_displaced_counting_matches_the_exponentiated_ladder(beta):
+    for dim in (1, 2, 5, 8):
+        for n_detect in (dim, dim + 3, dim + 20):
+            elements = DisplacedCounting([beta], n_detect, dim).elements
+            assert np.max(np.abs(elements - _ladder_projectors(beta, n_detect, dim))) <= 1e-12
+
+
+def test_displaced_counting_matches_the_ladder_far_from_the_vacuum():
+    # a 436-level ladder; the forward recurrence D(b)|n> = (a^+ - b*) D(b)|n-1> / sqrt(n)
+    # from |b> loses more than 1e-5 here, so this pins the closed form
+    elements = DisplacedCounting([10j], 150, 16).elements
+    assert np.max(np.abs(elements - _ladder_projectors(10j, 150, 16))) <= 1e-12
 
 
 def test_displaced_counting_still_builds_at_beta_fifteen():
