@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .completeness import default_phases, numerical_rank, predicted_rank, rank_for, sweep_table
+from .completeness import default_phases, measurement_rank, predicted_rank, rank_for, sweep_table
 from .fock import DensityMatrix, SupportSet, coherent_amplitudes
 from .povm import BinLayout, BinnedHomodyne, default_x_max
 from .tomo import fidelity, ml_reconstruct, simulate_dataset
@@ -155,9 +155,13 @@ def _cmd_simulate_reconstruct(args, parser) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     with _output(args.out) as out:  # opened before the run, written after it
-        rank = numerical_rank(data.measurement.born).numerical_rank
-        if rank < dim * dim:
-            print(f"warning: measurement not IC: rank {rank} < {dim * dim}", file=sys.stderr)
+        report = measurement_rank(data.measurement)
+        if report.numerical_rank < dim * dim:
+            # with m >= d phases, offset block r holds the d - r coherences at offsets +-r alone
+            short = [f"±{r}" if r else "0" for r, n in enumerate(report.block_ranks or ()) if n < dim - r]
+            where = f"; short at Fock offsets {', '.join(short)}" if short and len(phases) >= dim else ""
+            print(f"warning: measurement not IC: rank {report.numerical_rank} < {dim * dim}{where}",
+                  file=sys.stderr)
         result = ml_reconstruct(data, max_iters=args.max_iters)
         payload = result.to_json_dict()
         payload["fidelity"] = fidelity(result.estimate, rho_true)

@@ -6,8 +6,8 @@ numerical rank oracle: the quadrature probability functionals of a support
 and its phases, over the real parametrization of Hermitian operators on the
 support, form a design matrix whose singular spectrum certifies the count
 (rank_for: from its Fock-offset blocks at equispaced phases, else parity blocks).
-A measurement with elements and dim (a povm.BinnedHomodyne or
-DisplacedCounting) is ranked by povm_span_rank or numerical_rank(m.born).
+A measurement (a povm.BinnedHomodyne or DisplacedCounting) is ranked by
+measurement_rank, from the same blocks at equispaced homodyne phases.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .fock import (
     SupportSet, _checked_integer, _checked_phases, _Rebuilt, _upper_pairs,
     hermite_function_table, real_coordinates,
 )
+from .povm import BinnedHomodyne
 
 __all__ = [
     "MeasurementSpec",
@@ -31,6 +32,7 @@ __all__ = [
     "default_phases",
     "design_matrix",
     "numerical_rank",
+    "measurement_rank",
     "rank_for",
     "min_phases_for_completeness",
     "sweep_table",
@@ -38,6 +40,7 @@ __all__ = [
 ]
 
 PHASE_DISTINCT_TOL = 1e-9
+ORBIT_PHASE_TOL = 1e-13  # rad: the offset blocks then describe the measurement to 1e-12
 RANK_RTOL = 1e-12
 ILL_CONDITIONED_GAP = 1e3
 
@@ -106,11 +109,13 @@ class RankReport(_Rebuilt):
     ``gap`` is sigma_rank / sigma_{rank+1} (+inf when the trailing value is
     absent or exactly zero); anything below 1e3 is flagged ill-conditioned.
     Both are always computed from the singular values and the tolerance.
+    ``block_ranks`` (not in the JSON): Fock-offset block ranks, if taken from them.
     """
 
     singular_values: np.ndarray
     tolerance_used: float
     predicted_rank: int | None = None
+    block_ranks: tuple | None = None
     numerical_rank: int = field(init=False)
     gap: float = field(init=False)
 
@@ -196,10 +201,13 @@ def design_matrix(spec: MeasurementSpec) -> np.ndarray:
     return np.concatenate([mirrored, rows], axis=1).reshape(-1, odd.size)
 
 
-def _certified(sv: np.ndarray, shape) -> RankReport:
-    """RankReport of the descending spectrum sv of a matrix of the given
-    shape.  Threshold: max(rows, cols) * sigma_max * 1e-12."""
-    return RankReport(sv, max(shape) * float(sv[0]) * RANK_RTOL)
+def _certified(sv: np.ndarray, shape, block_sv=None) -> RankReport:
+    """RankReport of the descending spectrum sv of a matrix of the given shape, with
+    the rank of each block of block_sv [block, value] if given.
+    Threshold: max(rows, cols) * sigma_max * 1e-12."""
+    tol = max(shape) * float(sv[0]) * RANK_RTOL
+    blocks = None if block_sv is None else tuple((block_sv > tol).sum(axis=1).tolist())
+    return RankReport(sv, tol, block_ranks=blocks)
 
 
 def numerical_rank(matrix) -> RankReport:
@@ -231,29 +239,61 @@ def _parity_split_rank(spec: MeasurementSpec) -> RankReport:
     return _certified(sv, shape)
 
 
+def _orbit_rank(base: np.ndarray, levels: np.ndarray, K: int, shape) -> RankReport:
+    """numerical_rank of the real coordinates, of the given shape, of the orbit
+    {U^j E_b U^-j : j < K}, K even and U = diag(e^{2 pi i n/K}) on the Fock levels,
+    of a real symmetric stack E_b [row, level, level].  A DFT over j splits it into
+    blocks r = (k-l) mod K with entries (E_b)_kl; their spectra times sqrt(K), cut or
+    padded with zeros to min(shape), are its spectrum.  Blocks r and K-r are equal, so
+    r <= K/2 take one batched SVD, and the report keeps their ranks."""
+    offsets = (np.subtract.outer(levels, levels) % K).ravel()
+    cols = np.argsort(offsets, kind="stable")
+    cols = cols[offsets[cols] <= K // 2]  # grouped by block
+    (k, l), offset = np.divmod(cols, levels.size), offsets[cols]
+    widths = np.bincount(offset, minlength=K // 2 + 1)
+    stack = np.zeros((K // 2 + 1, widths.max(), base.shape[0]))
+    stack[offset, np.arange(offset.size) - np.searchsorted(offset, offset)] = base[:, k, l].T
+    counts = np.minimum(widths, base.shape[0])
+    kept = np.arange(counts.max()) < counts[:, None]
+    block_sv = math.sqrt(K) * np.linalg.svd(stack, compute_uv=False) * kept
+    twice = block_sv[1:-1][kept[1:-1]]  # blocks 0 < r < K/2 stand for K-r too
+    sv = np.sort(np.concatenate([block_sv[kept], twice]))[::-1][: min(shape)]
+    return _certified(np.concatenate([sv, np.zeros(min(shape) - sv.size)]), shape, block_sv)
+
+
 def _offset_block_rank(support: SupportSet, m: int) -> RankReport:
-    """numerical_rank(design_matrix(spec)) at the phases j*pi/m from its
-    Fock-offset blocks.  The rows at -x are those at x turned by pi; in
-    complex entries X_kl (a unitary change of columns) and after a unitary
-    DFT over the 2m phases j*pi/m, j < 2m, block r = (k-l) mod 2m has entries
-    sqrt(2m) psi_k psi_l at the positive nodes.  Blocks r and 2m-r are equal
-    up to swapping (k, l): r = 0..m take one batched SVD, r = 1..m-1 count twice."""
+    """numerical_rank(design_matrix(spec)) at the phases j*pi/m: the rows at -x are
+    those at x turned by pi, so it is the orbit, K = 2m, of the node projectors."""
     sup = np.array(support.indices)
-    psi = _positive_node_table(int(sup[-1]))[sup]  # [level, node]
-    k, l = np.divmod(np.arange(sup.size**2), sup.size)
-    offset = (sup[k] - sup[l]) % (2 * m)
-    cols = np.argsort(offset, kind="stable")
-    cols = cols[offset[cols] <= m]  # grouped by block
-    k, l, offset = k[cols], l[cols], offset[cols]
-    widths = np.bincount(offset, minlength=m + 1)
-    stack = np.zeros((m + 1, widths.max(), psi.shape[1]))
-    stack[offset, np.arange(offset.size) - np.searchsorted(offset, offset)] = psi[k] * psi[l]
-    counts = np.minimum(widths, psi.shape[1])
-    kept = np.linalg.svd(stack, compute_uv=False)[np.arange(counts.max()) < counts[:, None]]
-    copies = np.repeat(np.where(np.arange(m + 1) % m == 0, 1, 2), counts)
-    sv = math.sqrt(2.0 * m) * np.sort(np.repeat(kept, copies))[::-1]
-    shape = (2 * m * psi.shape[1], sup.size**2)
-    return _certified(np.concatenate([sv, np.zeros(min(shape) - sv.size)]), shape)
+    psi = _positive_node_table(int(sup[-1]))[sup].T  # [node, level]
+    shape = (2 * m * psi.shape[0], sup.size**2)
+    return _orbit_rank(psi[:, :, None] * psi[:, None, :], sup, 2 * m, shape)
+
+
+def _binned_orbit_rank(sets) -> RankReport | None:
+    """povm_span_rank(sets) when they are BinnedHomodyne on one layout at phases
+    theta_0 + j*pi/m mod pi, j < m, else None.  At theta + pi the bins are mirrored,
+    B_{n-1-b} = (-1)^(k+l) B_b: the orbit, K = 2m, of one bin per mirror pair and the
+    middle bin over sqrt(2), its odd-(k+l) entries (0 by parity, to rounding) set to 0."""
+    if not all(isinstance(ps, BinnedHomodyne) and ps.layout == sets[0].layout for ps in sets):
+        return None
+    phases = [math.fmod(theta, math.pi) for ps in sets for theta in ps.phases]  # fmod is exact
+    m, dim, step = len(phases), sets[0].dim, math.pi / len(phases)
+    j = [round((t - phases[0]) / step) for t in phases]
+    if len({i % m for i in j}) < m or any(abs(t - phases[0] - i * step) > ORBIT_PHASE_TOL
+                                          for t, i in zip(phases, j)):
+        return None
+    bins = sets[0].layout._bins(dim)[0]
+    half, odd = divmod(bins.shape[0], 2)
+    base = bins[: half + odd] / np.sqrt([1.0] * half + [2.0] * odd)[:, None, None]
+    base[half:, ::2, 1::2] = base[half:, 1::2, ::2] = 0.0
+    return _orbit_rank(base, np.arange(dim), 2 * m, (m * bins.shape[0], dim * dim))
+
+
+def measurement_rank(measurement) -> RankReport:
+    """numerical_rank(measurement.born), from the offset blocks without forming
+    born when the measurement is a BinnedHomodyne at equispaced phases (to 1e-13 rad)."""
+    return _binned_orbit_rank([measurement]) or numerical_rank(measurement.born)
 
 
 def rank_for(support: SupportSet, m: int, phases=None) -> RankReport:
@@ -370,10 +410,12 @@ def sweep_table(d_range, m_range) -> SweepTable:
 
 def povm_span_rank(sets) -> RankReport:
     """Rank of the real span of all elements of the given measurements, each
-    with ``elements`` and ``dim`` (such as a BinnedHomodyne); no ``born`` is formed."""
+    with ``elements`` and ``dim``; no ``born`` is formed.  BinnedHomodyne sets on
+    one layout are ranked as their merged measurement, by measurement_rank."""
     sets = list(sets)
     if not sets:
         raise ValueError("at least one POVM set is required")
     if any(ps.dim != sets[0].dim for ps in sets):
         raise ValueError("all POVM sets must share the same dim")
-    return numerical_rank(real_coordinates(np.concatenate([ps.elements for ps in sets])))
+    return _binned_orbit_rank(sets) or numerical_rank(
+        real_coordinates(np.concatenate([ps.elements for ps in sets])))

@@ -274,6 +274,24 @@ def test_simulate_reconstruct_warns_when_not_ic(capsys):
     assert 0.0 <= payload["fidelity"] <= 1.0 + 1e-10
 
 
+@pytest.mark.parametrize(
+    "state, m, line",
+    [("mixed:maximally@9", 9, "rank 78 < 81; short at Fock offsets 0, ±1"),
+     ("mixed:maximally@12", 12, "rank 137 < 144; short at Fock offsets 0, ±1, ±2"),
+     ("mixed:maximally@9", 4, "rank 54 < 81")],
+)
+def test_simulate_reconstruct_names_the_short_offsets(capsys, state, m, line):
+    # at m >= d phases each offset block holds one offset pair +-r; below that, no offsets
+    code, out, err = run_cli(
+        capsys,
+        ["simulate-reconstruct", "--state", state, "--m", str(m),
+         "--samples", "2000", "--seed", "1", "--max-iters", "2"],
+    )
+    assert code == 0
+    assert err == f"warning: measurement not IC: {line}\n"
+    json.loads(out)
+
+
 @pytest.mark.parametrize("m", [1, 3])
 def test_simulate_reconstruct_builds_one_povm_set_per_measurement(capsys, monkeypatch, m):
     original = povmrank.povm.quadrature_bin_operator
@@ -300,7 +318,7 @@ def test_simulate_reconstruct_builds_one_povm_set_per_measurement(capsys, monkey
 
 @pytest.mark.parametrize("m", [1, 3])
 def test_simulate_reconstruct_takes_the_born_matrix_once(capsys, monkeypatch, m):
-    # simulation, the IC check and ML all read the measurement's one Born matrix
+    # simulation and ML read the measurement's one Born matrix (the IC check reads none)
     original = povmrank.fock.real_coordinates
     layout = BinLayout(default_x_max(3), 5)
     stack = np.concatenate([build_binned_quadrature_povm(j * math.pi / m, layout, 3).elements

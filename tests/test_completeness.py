@@ -7,6 +7,7 @@ import pytest
 from povmrank import completeness
 from povmrank import (
     BinLayout,
+    BinnedHomodyne,
     DensityMatrix,
     DisplacedCounting,
     MeasurementSpec,
@@ -18,12 +19,14 @@ from povmrank import (
     design_matrix,
     hermite_function_table,
     hermitian_to_real_vector,
+    measurement_rank,
     min_phases_for_completeness,
     numerical_rank,
     photon_number_probability,
     povm_span_rank,
     predicted_rank,
     rank_for,
+    real_coordinates,
     sweep_table,
 )
 
@@ -460,6 +463,106 @@ def test_povm_span_rank_rejects_mixed_dims():
     b = build_binned_quadrature_povm(0.0, BinLayout(4.0, 3), 3)
     with pytest.raises(ValueError, match="dim"):
         povm_span_rank([a, b])
+
+
+# --------------------------------------------------------------- measurement_rank
+
+
+def _binned(d, m, n_bins, offset=0.0):
+    return BinnedHomodyne([offset + j * math.pi / m for j in range(m)],
+                          BinLayout(default_x_max(d), n_bins), d)
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_equispaced_binned_blocks_match_the_born_svd(d):
+    # every m <= 12 at 2d-1 and 4d bins and two phase offsets: the orbit path
+    # against numerical_rank(born), and povm_span_rank of the one-phase sets
+    for m in range(1, 13):
+        for n_bins in (2 * d - 1, 4 * d):
+            for offset in (0.0, 0.37):
+                meas = _binned(d, m, n_bins, offset)
+                blocks = measurement_rank(meas)
+                assert "born" not in vars(meas)  # the orbit path never forms it
+                full = numerical_rank(meas.born)
+                assert blocks.block_ranks is not None
+                assert blocks.numerical_rank == full.numerical_rank, (d, m, n_bins, offset)
+                assert blocks.tolerance_used == pytest.approx(full.tolerance_used, rel=1e-14)
+                assert blocks.singular_values.size == full.singular_values.size
+                assert full.singular_values.size == min(m * (n_bins + 2), d * d)
+                top = full.singular_values[0]
+                assert np.max(np.abs(blocks.singular_values - full.singular_values)) <= 1e-12 * top
+                sets = [build_binned_quadrature_povm(t, meas.layout, d) for t in meas.phases]
+                span = povm_span_rank(sets)
+                assert np.array_equal(span.singular_values, blocks.singular_values)
+
+
+@pytest.mark.parametrize(
+    "d, m, rank, gap, short",
+    [(9, 1, 16, 8.600, None), (9, 9, 78, 1060.2, [0, 1]), (10, 10, 97, 1066.2, [0, 1]),
+     (12, 12, 137, 5.704, [0, 1, 2])],
+)
+def test_binned_fault_cells_keep_their_rank_and_gap(d, m, rank, gap, short):
+    # the default layout (2d-1 bins) at phases j*pi/m loses these directions;
+    # with m >= d phases block r holds offset r alone, full at d - r
+    report = measurement_rank(_binned(d, m, 2 * d - 1))
+    assert report.numerical_rank == rank
+    assert report.gap == pytest.approx(gap, rel=1e-3)
+    if short is not None:
+        assert [r for r, n in enumerate(report.block_ranks) if n < d - r] == short
+
+
+def _moved(d, m):
+    phases = [j * math.pi / m for j in range(m)]
+    phases[1] += 1e-9
+    return BinnedHomodyne(phases, BinLayout(default_x_max(d), 2 * d - 1), d)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        _moved,
+        lambda d, m: BinnedHomodyne(np.random.default_rng(d).random(m) * math.pi,
+                                    BinLayout(default_x_max(d), 2 * d - 1), d),
+        lambda d, m: BinnedHomodyne([0.3, 0.3 + math.pi, 1.1], BinLayout(default_x_max(d), 4 * d), d),
+        lambda d, m: DisplacedCounting([0.0, 0.8, 0.8j], d + 2, d),
+    ],
+    ids=["moved-1e-9", "random", "theta-and-theta-plus-pi", "displaced"],
+)
+def test_other_measurements_take_the_born_svd_bit_for_bit(build):
+    for d, m in [(3, 2), (5, 5), (6, 3)]:
+        meas = build(d, m)
+        full = numerical_rank(meas.born)
+        for report in (measurement_rank(meas), povm_span_rank([meas])):
+            assert report.block_ranks is None
+            assert np.array_equal(report.singular_values, full.singular_values)
+            assert report.tolerance_used == full.tolerance_used
+
+
+def test_sets_on_different_layouts_take_the_dense_path():
+    d = 4
+    sets = [build_binned_quadrature_povm(0.0, BinLayout(default_x_max(d), 7), d),
+            build_binned_quadrature_povm(math.pi / 2, BinLayout(default_x_max(d), 9), d)]
+    full = numerical_rank(real_coordinates(np.concatenate([s.elements for s in sets])))
+    report = povm_span_rank(sets)
+    assert report.block_ranks is None
+    assert np.array_equal(report.singular_values, full.singular_values)
+
+
+def test_binned_rank_never_factors_more_rows_than_one_phase_has(monkeypatch):
+    # forming born here would take a 2352 x 576 SVD
+    d = 24
+    meas = _binned(d, d, 4 * d)
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    assert measurement_rank(meas).numerical_rank == d * d
+    assert shapes
+    assert all(max(shape[-2:]) <= meas.layout.n_elements for shape in shapes)
 
 
 # ------------------------------------------------ ranking a DisplacedCounting

@@ -20,13 +20,14 @@ def readme_expression_values():
 
 
 def test_readme_library_example_gives_the_values_its_comments_state():
-    (predicted, numerical, min_phases, design_shape, deficit, span_rank, displaced_rank,
-     elements_shape, counts_shape, fidelity) = readme_expression_values()
+    (predicted, numerical, min_phases, design_shape, deficit, span_rank, orbit_rank,
+     displaced_rank, elements_shape, counts_shape, fidelity) = readme_expression_values()
     assert predicted == numerical == 32
     assert min_phases == 2
     assert design_shape == (12, 9)
     assert deficit < 1e-15
     assert span_rank == 5
+    assert orbit_rank == 9
     assert displaced_rank == 4
     assert elements_shape == (21, 3, 3)
     assert counts_shape == (3, 7)
