@@ -4,10 +4,12 @@ photon-counting measurements on (possibly sparse) Fock supports.
 The closed-form predictor m(2d-m) (capped at d^2) is checked against a
 numerical rank oracle: the quadrature probability functionals of a support
 and its phases, over the real parametrization of Hermitian operators on the
-support, form a design matrix whose singular spectrum certifies the count
-(rank_for: from its Fock-offset blocks at equispaced phases, else parity blocks).
-A measurement (a povm.BinnedHomodyne or DisplacedCounting) is ranked by
-measurement_rank, from the same blocks at equispaced homodyne phases.
+support, form a design matrix whose singular spectrum certifies the count.
+Every homodyne rank takes one path: a real phase-0 stack closed under the
+mirror x -> -x (the node projectors for rank_for, a layout's bins for a
+BinnedHomodyne) is ranked at its phases from Fock-offset blocks when they
+are equispaced mod pi, else from parity blocks.  design_matrix stays the
+dense reference; other measurements take the SVD of their real coordinates.
 """
 
 from __future__ import annotations
@@ -75,13 +77,9 @@ def default_phases(support: SupportSet, m: int) -> list:
     return sorted(math.fmod(j * _GOLDEN_FRAC, 1.0) * math.pi for j in range(m))
 
 
-def _reduced_distinct(phases) -> bool:
-    red = sorted(math.fmod(math.fmod(p, math.pi) + math.pi, math.pi) for p in phases)
-    if len(red) < 2:
-        return True
-    gaps = [b - a for a, b in zip(red, red[1:])]
-    gaps.append(red[0] + math.pi - red[-1])
-    return min(gaps) > PHASE_DISTINCT_TOL
+def _mod_pi(phases) -> list:
+    """The phases reduced to [0, pi), ascending."""
+    return sorted(math.fmod(math.fmod(p, math.pi) + math.pi, math.pi) for p in phases)
 
 
 @dataclass(frozen=True)
@@ -96,7 +94,8 @@ class MeasurementSpec:
         if not isinstance(self.support, SupportSet):
             raise TypeError("support must be a SupportSet")
         phases = _checked_phases(self.phases)
-        if not _reduced_distinct(phases):
+        red = _mod_pi(phases)  # the gaps between neighbours on the circle of length pi
+        if any(b - a <= PHASE_DISTINCT_TOL for a, b in zip(red, red[1:] + [red[0] + math.pi])):
             raise ValueError("phases must be pairwise distinct mod pi")
         object.__setattr__(self, "phases", phases)
 
@@ -165,46 +164,31 @@ def _positive_node_table(top: int) -> np.ndarray:
     return table
 
 
-def _positive_rows(spec: MeasurementSpec):
-    """design_matrix's rows at the positive nodes, [phase, node, column], and
-    the mask of the columns whose Fock indices k + l are odd: at -x those
-    columns change sign and the others do not."""
-    sup = np.array(spec.support.indices)
-    psi = _positive_node_table(int(sup[-1]))[sup]
-    s, n_nodes = psi.shape
-    k, l = _upper_pairs(s)
-    pair = math.sqrt(2.0) * (psi[k] * psi[l]).T  # [node, pair]
-    angle = np.multiply.outer(spec.phases, sup[k] - sup[l])  # [phase, pair]
-    rows = np.empty((len(spec.phases), n_nodes, s * s))
-    rows[:, :, :s] = (psi * psi).T
-    rows[:, :, s : s + k.size] = np.cos(angle)[:, None, :] * pair
-    rows[:, :, s + k.size :] = np.sin(angle)[:, None, :] * pair
-    odd_pair = (sup[k] + sup[l]) % 2 == 1
-    return rows, np.concatenate([np.zeros(s, dtype=bool), odd_pair, odd_pair])
-
-
 def design_matrix(spec: MeasurementSpec) -> np.ndarray:
     """Measurement functionals over the s^2 real coordinates of Hermitian
-    operators on the support.
+    operators on the support: the dense reference that rank_for's count equals.
 
     One row per (phase, node): the density functional rho -> p(x_i, theta_j)
     at the Gauss-Hermite nodes x_i of order 2*max(support)+2, which the
     polynomial degree of p certifies to span every functional of the phase.
     A row is the real coordinates of the rank-one quadrature projector
-    compressed to the support, written in closed form: psi_k^2 on the
-    diagonal, sqrt(2) psi_k psi_l times (cos, sin)((k-l) theta) for support
-    indices k < l.  The rows at the negative nodes mirror those at the
-    positive ones, with the odd-(k+l) columns negated.
+    psi(x_i) psi(x_i)^T compressed to the support and turned to theta_j by
+    diag(e^{i n theta_j}).
     """
-    rows, odd = _positive_rows(spec)
-    mirrored = rows[:, ::-1] * np.where(odd, -1.0, 1.0)
-    return np.concatenate([mirrored, rows], axis=1).reshape(-1, odd.size)
+    sup = np.array(spec.support.indices)
+    psi = hermite_function_table(int(sup[-1]), _hermgauss_nodes(2 * int(sup[-1]) + 2))[sup].T
+    turn = np.exp(1j * np.multiply.outer(spec.phases, sup))  # [phase, level]
+    turn = turn[:, None, :, None] * turn[:, None, None, :].conj()
+    return real_coordinates(turn * (psi[:, :, None] * psi[:, None, :])).reshape(-1, sup.size**2)
 
 
 def _certified(sv: np.ndarray, shape, block_sv=None) -> RankReport:
-    """RankReport of the descending spectrum sv of a matrix of the given shape, with
+    """RankReport of the singular values sv, in any order, of a matrix of the given
+    shape: sorted descending and cut or padded with exact zeros to min(shape), with
     the rank of each block of block_sv [block, value] if given.
     Threshold: max(rows, cols) * sigma_max * 1e-12."""
+    sv = np.sort(sv)[::-1][: min(shape)]
+    sv = np.concatenate([sv, np.zeros(min(shape) - sv.size)])
     tol = max(shape) * float(sv[0]) * RANK_RTOL
     blocks = None if block_sv is None else tuple((block_sv > tol).sum(axis=1).tolist())
     return RankReport(sv, tol, block_ranks=blocks)
@@ -220,32 +204,13 @@ def numerical_rank(matrix) -> RankReport:
     return _certified(np.linalg.svd(mat, compute_uv=False), mat.shape)
 
 
-def _parity_split_rank(spec: MeasurementSpec) -> RankReport:
-    """numerical_rank(design_matrix(spec)) from two half-size blocks.
-
-    With the rows at -x the rows at x with the odd columns negated, the
-    design matrix is orthogonally equivalent to sqrt(2) diag(E, O), E and O
-    the even and odd columns of the positive-node rows.  Its spectrum is
-    sqrt(2) times theirs, padded with exact zeros to min(rows, cols); the
-    threshold takes the full matrix's shape.
-    """
-    rows, odd = _positive_rows(spec)
-    rows = rows.reshape(-1, odd.size)
-    shape = (2 * rows.shape[0], rows.shape[1])
-    sv = math.sqrt(2.0) * np.concatenate(
-        [np.linalg.svd(rows[:, cols], compute_uv=False) for cols in (~odd, odd)]
-    )
-    sv = np.concatenate([np.sort(sv)[::-1], np.zeros(min(shape) - sv.size)])
-    return _certified(sv, shape)
-
-
 def _orbit_rank(base: np.ndarray, levels: np.ndarray, K: int, shape) -> RankReport:
     """numerical_rank of the real coordinates, of the given shape, of the orbit
     {U^j E_b U^-j : j < K}, K even and U = diag(e^{2 pi i n/K}) on the Fock levels,
     of a real symmetric stack E_b [row, level, level].  A DFT over j splits it into
-    blocks r = (k-l) mod K with entries (E_b)_kl; their spectra times sqrt(K), cut or
-    padded with zeros to min(shape), are its spectrum.  Blocks r and K-r are equal, so
-    r <= K/2 take one batched SVD, and the report keeps their ranks."""
+    blocks r = (k-l) mod K with entries (E_b)_kl; their spectra times sqrt(K) are its
+    spectrum.  Blocks r and K-r are equal, so r <= K/2 take one batched SVD, and the
+    report keeps their ranks."""
     offsets = (np.subtract.outer(levels, levels) % K).ravel()
     cols = np.argsort(offsets, kind="stable")
     cols = cols[offsets[cols] <= K // 2]  # grouped by block
@@ -257,43 +222,40 @@ def _orbit_rank(base: np.ndarray, levels: np.ndarray, K: int, shape) -> RankRepo
     kept = np.arange(counts.max()) < counts[:, None]
     block_sv = math.sqrt(K) * np.linalg.svd(stack, compute_uv=False) * kept
     twice = block_sv[1:-1][kept[1:-1]]  # blocks 0 < r < K/2 stand for K-r too
-    sv = np.sort(np.concatenate([block_sv[kept], twice]))[::-1][: min(shape)]
-    return _certified(np.concatenate([sv, np.zeros(min(shape) - sv.size)]), shape, block_sv)
+    return _certified(np.concatenate([block_sv[kept], twice]), shape, block_sv)
 
 
-def _offset_block_rank(support: SupportSet, m: int) -> RankReport:
-    """numerical_rank(design_matrix(spec)) at the phases j*pi/m: the rows at -x are
-    those at x turned by pi, so it is the orbit, K = 2m, of the node projectors."""
-    sup = np.array(support.indices)
-    psi = _positive_node_table(int(sup[-1]))[sup].T  # [node, level]
-    shape = (2 * m * psi.shape[0], sup.size**2)
-    return _orbit_rank(psi[:, :, None] * psi[:, None, :], sup, 2 * m, shape)
+def _quadrature_rank(base: np.ndarray, levels: np.ndarray, phases, shape) -> RankReport:
+    """numerical_rank of the real coordinates, of the given shape, of a real symmetric
+    phase-0 stack base [row, level, level] and its mirror image (odd-(k+l) entries
+    negated), both turned to each phase by diag(e^{i n theta}) on the Fock levels.
 
-
-def _binned_orbit_rank(sets) -> RankReport | None:
-    """povm_span_rank(sets) when they are BinnedHomodyne on one layout at phases
-    theta_0 + j*pi/m mod pi, j < m, else None.  At theta + pi the bins are mirrored,
-    B_{n-1-b} = (-1)^(k+l) B_b: the orbit, K = 2m, of one bin per mirror pair and the
-    middle bin over sqrt(2), its odd-(k+l) entries (0 by parity, to rounding) set to 0."""
-    if not all(isinstance(ps, BinnedHomodyne) and ps.layout == sets[0].layout for ps in sets):
-        return None
-    phases = [math.fmod(theta, math.pi) for ps in sets for theta in ps.phases]  # fmod is exact
-    m, dim, step = len(phases), sets[0].dim, math.pi / len(phases)
-    j = [round((t - phases[0]) / step) for t in phases]
-    if len({i % m for i in j}) < m or any(abs(t - phases[0] - i * step) > ORBIT_PHASE_TOL
-                                          for t, i in zip(phases, j)):
-        return None
-    bins = sets[0].layout._bins(dim)[0]
-    half, odd = divmod(bins.shape[0], 2)
-    base = bins[: half + odd] / np.sqrt([1.0] * half + [2.0] * odd)[:, None, None]
-    base[half:, ::2, 1::2] = base[half:, 1::2, ::2] = 0.0
-    return _orbit_rank(base, np.arange(dim), 2 * m, (m * bins.shape[0], dim * dim))
+    The mirror image is base turned by pi.  At phases theta_0 + j*pi/m mod pi (each
+    to ORBIT_PHASE_TOL) the matrix is thus the orbit of base, K = 2m, turned by
+    theta_0, which keeps the spectrum; at any others it
+    is orthogonally equivalent to sqrt(2) diag(E, O), E and O the even- and odd-(k+l)
+    columns of base's closed-form rows at the phases: diagonal entries, then sqrt(2)
+    (cos, sin)((k-l) theta) times the entries k < l.
+    """
+    red = _mod_pi(phases)
+    m = len(red)
+    if all(abs(t - red[0] - j * math.pi / m) <= ORBIT_PHASE_TOL for j, t in enumerate(red)):
+        return _orbit_rank(base, levels, 2 * m, shape)
+    s = levels.size
+    k, l = _upper_pairs(s)
+    pair = math.sqrt(2.0) * np.ascontiguousarray(base[:, k, l])  # [row, pair], C order: so is rows
+    angle = np.multiply.outer(phases, levels[k] - levels[l])[:, None, :]  # [phase, 1, pair]
+    diag = np.broadcast_to(np.diagonal(base, axis1=1, axis2=2), (m,) + base.shape[:2])
+    rows = np.concatenate([diag, np.cos(angle) * pair, np.sin(angle) * pair], axis=2).reshape(-1, s * s)
+    odd = np.concatenate([np.zeros(s, dtype=bool)] + 2 * [(levels[k] + levels[l]) % 2 == 1])
+    return _certified(math.sqrt(2.0) * np.concatenate(
+        [np.linalg.svd(rows[:, cols], compute_uv=False) for cols in (~odd, odd)]), shape)
 
 
 def measurement_rank(measurement) -> RankReport:
-    """numerical_rank(measurement.born), from the offset blocks without forming
-    born when the measurement is a BinnedHomodyne at equispaced phases (to 1e-13 rad)."""
-    return _binned_orbit_rank([measurement]) or numerical_rank(measurement.born)
+    """numerical_rank(measurement.born), by povm_span_rank: a BinnedHomodyne
+    is ranked from its layout's phase-0 bins without forming born."""
+    return povm_span_rank([measurement])
 
 
 def rank_for(support: SupportSet, m: int, phases=None) -> RankReport:
@@ -302,19 +264,22 @@ def rank_for(support: SupportSet, m: int, phases=None) -> RankReport:
     Phases default to default_phases(support, m); explicit phases must
     number m.  The closed-form prediction is attached when the support is
     contiguous 0..d-1.  The count is that of numerical_rank(design_matrix(spec)),
-    taken from its Fock-offset blocks when the phases are defaulted on a
-    contiguous support (the grid j*pi/m), else from its parity blocks.
+    taken by _quadrature_rank from the node projectors at the positive nodes:
+    the rows at -x are their mirror image.
     """
     m = _checked_integer(m, "m")
     if m < 1:
         raise ValueError("m must be positive")
-    if phases is None and support.is_contiguous:
-        report = _offset_block_rank(support, m)
+    if phases is None:
+        phases = default_phases(support, m)  # distinct by construction
     else:
-        spec = MeasurementSpec(support, default_phases(support, m) if phases is None else phases)
-        if len(spec.phases) != m:
-            raise ValueError(f"m={m} does not match the {len(spec.phases)} phases given")
-        report = _parity_split_rank(spec)
+        phases = MeasurementSpec(support, phases).phases
+        if len(phases) != m:
+            raise ValueError(f"m={m} does not match the {len(phases)} phases given")
+    sup = np.array(support.indices)
+    psi = _positive_node_table(int(sup[-1]))[sup].T  # [node, level]
+    shape = (2 * m * psi.shape[0], sup.size**2)
+    report = _quadrature_rank(psi[:, :, None] * psi[:, None, :], sup, phases, shape)
     if support.is_contiguous:
         report = replace(report, predicted_rank=predicted_rank(support.size, m))
     return report
@@ -411,11 +376,20 @@ def sweep_table(d_range, m_range) -> SweepTable:
 def povm_span_rank(sets) -> RankReport:
     """Rank of the real span of all elements of the given measurements, each
     with ``elements`` and ``dim``; no ``born`` is formed.  BinnedHomodyne sets on
-    one layout are ranked as their merged measurement, by measurement_rank."""
+    one layout are ranked by _quadrature_rank at all their phases, the base one bin
+    of each mirror pair of the layout's phase-0 bins, B_{n-1-b} = (-1)^(k+l) B_b,
+    and the middle bin over sqrt(2) with its odd-(k+l) entries (0 by parity, to
+    rounding) set to 0.  Anything else takes the SVD of the elements' real coordinates."""
     sets = list(sets)
     if not sets:
         raise ValueError("at least one POVM set is required")
     if any(ps.dim != sets[0].dim for ps in sets):
         raise ValueError("all POVM sets must share the same dim")
-    return _binned_orbit_rank(sets) or numerical_rank(
-        real_coordinates(np.concatenate([ps.elements for ps in sets])))
+    if not all(isinstance(ps, BinnedHomodyne) and ps.layout == sets[0].layout for ps in sets):
+        return numerical_rank(real_coordinates(np.concatenate([ps.elements for ps in sets])))
+    phases, dim = [theta for ps in sets for theta in ps.phases], sets[0].dim
+    bins = sets[0].layout._bins(dim)[0]
+    half, odd = divmod(bins.shape[0], 2)
+    base = bins[: half + odd] / np.sqrt([1.0] * half + [2.0] * odd)[:, None, None]
+    base[half:, ::2, 1::2] = base[half:, 1::2, ::2] = 0.0
+    return _quadrature_rank(base, np.arange(dim), phases, (len(phases) * bins.shape[0], dim * dim))

@@ -64,8 +64,12 @@ def _antiderivative(x: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _phase_shift(theta: float, dim: int) -> np.ndarray:
-    """e^{i(k-l)theta}: entrywise, it conjugates an operator by diag(e^{in theta})."""
-    phase = np.exp(1j * theta * np.arange(dim))
+    """e^{i(k-l)theta}: entrywise, it conjugates an operator by diag(e^{in theta}).
+    ValueError when n theta overflows for some n < dim."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = np.exp(1j * theta * np.arange(dim))
+    if not np.isfinite(phase).all():
+        raise ValueError(f"phase {theta!r} on dim={dim} levels leaves the float range")
     return np.outer(phase, phase.conj())
 
 

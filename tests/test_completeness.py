@@ -233,6 +233,8 @@ def test_numerical_rank_rejects_non_finite_entries(bad):
 
 def test_rank_for_single_phase_five_levels():
     assert rank_for(SupportSet.contiguous(5), 1).numerical_rank == 9
+    # any one phase is an orbit of the phase shifter: the offset blocks rank it
+    assert rank_for(SupportSet.contiguous(5), 1, [0.7]).block_ranks == (5, 4)
 
 
 def test_rank_for_sparse_support_single_phase():
@@ -307,30 +309,45 @@ def test_rank_for_matches_full_svd_on_sparse_supports(indices):
 
 
 @pytest.mark.parametrize("d", [13, 20, 30])
-def test_offset_blocks_match_the_parity_split_at_default_phases(d):
-    # explicit phases take the parity split; defaulted ones the offset blocks
+def test_offset_blocks_match_the_full_svd_at_default_phases(d):
+    # defaulted and explicit equispaced phases both take the offset blocks
     support = SupportSet.contiguous(d)
     for m in range(1, 13):
-        blocks = rank_for(support, m)
-        parity = rank_for(support, m, default_phases(support, m))
-        assert blocks.numerical_rank == parity.numerical_rank
-        assert blocks.tolerance_used == pytest.approx(parity.tolerance_used, rel=1e-14)
-        assert blocks.singular_values.size == parity.singular_values.size
-        top = parity.singular_values[0]
-        assert np.max(np.abs(blocks.singular_values - parity.singular_values)) <= 1e-13 * top
+        phases = default_phases(support, m)
+        full = numerical_rank(design_matrix(MeasurementSpec(support, phases)))
+        for blocks in (rank_for(support, m), rank_for(support, m, phases)):
+            assert blocks.block_ranks is not None
+            assert blocks.numerical_rank == full.numerical_rank
+            assert blocks.tolerance_used == pytest.approx(full.tolerance_used, rel=1e-14)
+            assert blocks.singular_values.size == full.singular_values.size
+            top = full.singular_values[0]
+            assert np.max(np.abs(blocks.singular_values - full.singular_values)) <= 1e-13 * top
 
 
 @pytest.mark.parametrize("indices", [(0, 4, 8), (0, 1, 3, 7), (2, 5, 6, 9, 11)])
 def test_offset_blocks_match_the_full_svd_on_sparse_supports(indices):
     support = SupportSet(indices)
     for m in range(1, 6):
-        blocks = completeness._offset_block_rank(support, m)
-        matrix = design_matrix(MeasurementSpec(support, [j * math.pi / m for j in range(m)]))
+        phases = [j * math.pi / m for j in range(m)]
+        blocks = rank_for(support, m, phases)
+        matrix = design_matrix(MeasurementSpec(support, phases))
         full = numerical_rank(matrix)
+        assert blocks.block_ranks is not None
         assert blocks.numerical_rank == full.numerical_rank
         assert blocks.singular_values.size == full.singular_values.size == min(matrix.shape)
         top = full.singular_values[0]
         assert np.max(np.abs(blocks.singular_values - full.singular_values)) <= 1e-13 * top
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_explicit_default_phases_give_the_defaulted_report(d):
+    support = SupportSet.contiguous(d)
+    for m in range(1, 13):
+        explicit = rank_for(support, m, default_phases(support, m))
+        defaulted = rank_for(support, m)
+        assert np.array_equal(explicit.singular_values, defaulted.singular_values)
+        assert explicit.tolerance_used == defaulted.tolerance_used
+        assert explicit.block_ranks == defaulted.block_ranks
 
 
 def test_default_phase_rank_never_factors_a_matrix_wider_than_the_support(monkeypatch):
@@ -529,13 +546,28 @@ def _moved(d, m):
     ids=["moved-1e-9", "random", "theta-and-theta-plus-pi", "displaced"],
 )
 def test_other_measurements_take_the_born_svd_bit_for_bit(build):
+    # displaced counting takes the SVD of born bit for bit; binned homodyne at
+    # phases off the orbit takes the parity blocks of its phase-0 bins instead,
+    # to rounding, and never forms born
     for d, m in [(3, 2), (5, 5), (6, 3)]:
         meas = build(d, m)
+        reports = (measurement_rank(meas), povm_span_rank([meas]))
+        binned = isinstance(meas, BinnedHomodyne)
+        assert not binned or "born" not in vars(meas)
         full = numerical_rank(meas.born)
-        for report in (measurement_rank(meas), povm_span_rank([meas])):
+        for report in reports:
             assert report.block_ranks is None
-            assert np.array_equal(report.singular_values, full.singular_values)
-            assert report.tolerance_used == full.tolerance_used
+            if binned:
+                assert report.numerical_rank == full.numerical_rank
+                assert report.tolerance_used == pytest.approx(full.tolerance_used, rel=1e-14)
+                assert report.singular_values.size == full.singular_values.size
+                top = full.singular_values[0]
+                assert np.max(np.abs(report.singular_values - full.singular_values)) <= 1e-12 * top
+                sets = [build_binned_quadrature_povm(t, meas.layout, d) for t in meas.phases]
+                assert np.array_equal(povm_span_rank(sets).singular_values, report.singular_values)
+            else:
+                assert np.array_equal(report.singular_values, full.singular_values)
+                assert report.tolerance_used == full.tolerance_used
 
 
 def test_sets_on_different_layouts_take_the_dense_path():
@@ -563,6 +595,25 @@ def test_binned_rank_never_factors_more_rows_than_one_phase_has(monkeypatch):
     assert measurement_rank(meas).numerical_rank == d * d
     assert shapes
     assert all(max(shape[-2:]) <= meas.layout.n_elements for shape in shapes)
+
+
+def test_binned_rank_off_the_orbit_factors_two_parity_blocks(monkeypatch):
+    # 4d = 96 bins and two overflow bins give 49 mirror pairs: 24 * 49 rows,
+    # and the even and odd (k+l) columns split the d^2 = 576 in half
+    d = 24
+    meas = BinnedHomodyne(np.random.default_rng(24).random(d) * math.pi,
+                          BinLayout(default_x_max(d), 4 * d), d)
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    assert measurement_rank(meas).numerical_rank == d * d
+    assert shapes == [(1176, 288), (1176, 288)]
+    assert "born" not in vars(meas)
 
 
 # ------------------------------------------------ ranking a DisplacedCounting

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import re
 import warnings
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
@@ -253,6 +254,20 @@ def test_phases_that_are_not_finite_are_rejected(theta):
             build_binned_quadrature_povm(theta, layout, 3)
         with pytest.raises(ValueError, match="phases must be finite"):
             quadrature_bin_operator(theta, -1.0, 1.0, 3)
+
+
+@pytest.mark.parametrize("theta, dim", [(1e308, 3), (-1e308, 3), (1e307, 20)])
+def test_phases_whose_shift_overflows_are_rejected(theta, dim):
+    # n theta overflows for some level n < dim; the rank reads only the phase-0
+    # bins, so NaN elements would otherwise go unnoticed
+    layout, message = BinLayout(default_x_max(dim), 5), re.escape(f"phase {theta!r} on dim={dim} levels")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            BinnedHomodyne([0.0, theta], layout, dim)
+        with pytest.raises(ValueError, match=message):
+            quadrature_bin_operator(theta, -1.0, 1.0, dim)
+    assert np.isfinite(BinnedHomodyne([1e308], layout, 1).elements).all()
 
 
 @pytest.mark.parametrize("dim", [2.0, True, "3", None])
