@@ -93,7 +93,7 @@ class MeasurementSpec:
     def __post_init__(self):
         if not isinstance(self.support, SupportSet):
             raise TypeError("support must be a SupportSet")
-        phases = _checked_phases(self.phases)
+        phases = _checked_phases(self.phases, self.support.indices[-1] + 1)
         red = _mod_pi(phases)  # the gaps between neighbours on the circle of length pi
         if any(b - a <= PHASE_DISTINCT_TOL for a, b in zip(red, red[1:] + [red[0] + math.pi])):
             raise ValueError("phases must be pairwise distinct mod pi")

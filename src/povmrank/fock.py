@@ -41,13 +41,18 @@ def _checked_integer(value, what: str) -> int:
     return int(value)
 
 
-def _checked_phases(phases) -> tuple:
-    """Quadrature phases as a non-empty tuple of finite floats."""
+def _checked_phases(phases, dim: int) -> tuple:
+    """Quadrature phases as a non-empty tuple of finite floats.  On dim levels
+    the shift e^{i n theta} must stay in the float range for every n < dim:
+    ValueError naming the phase when theta (dim - 1) overflows."""
     phases = tuple(float(p) for p in phases)
     if not phases:
         raise ValueError("at least one phase is required")
     if not all(map(math.isfinite, phases)):
         raise ValueError("phases must be finite")
+    for theta in phases:
+        if not math.isfinite(theta * (dim - 1)):
+            raise ValueError(f"phase {theta!r} on dim={dim} levels leaves the float range")
     return phases
 
 
@@ -196,9 +201,9 @@ def hermite_function_table(n_max: int, x) -> np.ndarray:
 
 def homodyne_pdf_grid(rho: DensityMatrix, theta: float, xs) -> np.ndarray:
     """Vectorized homodyne density over a grid of quadrature values."""
-    (theta,) = _checked_phases((theta,))
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
     dim = rho.dim
+    (theta,) = _checked_phases((theta,), dim)
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
     psi = hermite_function_table(dim - 1, xs)
     v = psi * np.exp(1j * theta * np.arange(dim))[:, None]
     return np.real(np.einsum("ki,kl,li->i", v.conj(), rho.entries, v))

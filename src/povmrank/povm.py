@@ -40,7 +40,8 @@ def default_x_max(dim: int) -> float:
 
 
 def _antiderivative(x: np.ndarray, dim: int) -> np.ndarray:
-    """G[e, k, l] = int_{-inf}^{x_e} psi_k psi_l for finite x_e and k, l < dim.
+    """G[e, k, l] = int_{-inf}^{x_e} psi_k psi_l for k, l < dim (at x_e = +-inf,
+    0 and the identity up to the sign of zero).
 
     Off the diagonal by the Wronskian identity
     2(k-l) G_kl = psi_k psi_l' - psi_k' psi_l = psi_k phi_l - phi_k psi_l, where
@@ -55,22 +56,19 @@ def _antiderivative(x: np.ndarray, dim: int) -> np.ndarray:
     gap = np.subtract.outer(n, n)
     np.fill_diagonal(gap, 1)
     g = wronskian / (2.0 * gap)
-    diag = np.empty_like(psi)
-    diag[:, 0] = [0.5 * math.erfc(-v) for v in x]
-    for k in range(1, dim):
-        diag[:, k] = diag[:, k - 1] - psi[:, k] * phi[:, k] / (2.0 * k)
-    g[:, n, n] = diag
+    steps = np.empty_like(psi)  # F_0, then F_{n-1} - F_n, subtracted in order as by a loop
+    steps[:, 0] = [0.5 * math.erfc(-v) for v in x]
+    steps[:, 1:] = psi[:, 1:] * phi[:, 1:] / (2.0 * n[1:])
+    g[:, n, n] = np.subtract.accumulate(steps, axis=1)
     return g
 
 
-def _phase_shift(theta: float, dim: int) -> np.ndarray:
-    """e^{i(k-l)theta}: entrywise, it conjugates an operator by diag(e^{in theta}).
-    ValueError when n theta overflows for some n < dim."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        phase = np.exp(1j * theta * np.arange(dim))
-    if not np.isfinite(phase).all():
-        raise ValueError(f"phase {theta!r} on dim={dim} levels leaves the float range")
-    return np.outer(phase, phase.conj())
+def _phase_shift(phases: tuple, dim: int) -> np.ndarray:
+    """e^{i(k-l)theta} [phase, k, l]: entrywise, it conjugates an operator by
+    diag(e^{in theta}).  The phases have passed _checked_phases on dim levels,
+    so no n theta, n < dim, overflows."""
+    phase = np.exp(np.multiply.outer(1j * np.array(phases), np.arange(dim)))
+    return phase[:, :, None] * phase[:, None, :].conj()
 
 
 def quadrature_bin_operator(theta: float, a, b, dim: int) -> np.ndarray:
@@ -84,30 +82,25 @@ def quadrature_bin_operator(theta: float, a, b, dim: int) -> np.ndarray:
     A bin with a >= 0 is (-1)^(k+l) times the bin (-b, -a), as psi_n is of
     parity n, so right-tail bins keep full relative precision.
     a and b may be equal-shape arrays of endpoints; the result is then the
-    stack of their bins, shape a.shape + (dim, dim), with G evaluated once
-    per distinct finite endpoint.
+    stack of their bins, shape a.shape + (dim, dim): the real phase-0 bins
+    from one batch of G at every endpoint, times the phase factor.
     """
-    (theta,) = _checked_phases((theta,))
     dim = _checked_integer(dim, "dim")
     if dim < 1:
         raise ValueError("dim must be positive")
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    (theta,) = _checked_phases((theta,), dim)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ValueError("bin endpoint arrays must have equal shapes")
     if not np.all(a < b):
         raise ValueError("bin requires a < b")
     right = a >= 0
-    a, b = np.where(right, -b, a), np.where(right, -a, b)
-    edges, where = np.unique(np.concatenate([a.ravel(), b.ravel()]), return_inverse=True)
-    finite = np.isfinite(edges)
-    g = np.zeros((edges.size, dim, dim))
-    g[finite] = _antiderivative(edges[finite], dim)
-    g[edges == math.inf] = np.eye(dim)
-    g_a, g_b = g[where.reshape(2, -1)]
-    bins = g_b - g_a
+    edges = np.concatenate([np.where(right, -b, a).ravel(), np.where(right, -a, b).ravel()])
+    g = _antiderivative(edges, dim)  # +-inf give 0 and I but for signed zeros: set exactly
+    g[edges == -math.inf], g[edges == math.inf] = 0.0, np.eye(dim)
+    bins = g[a.size :] - g[: a.size]
     bins[right.ravel()] *= (-1.0) ** np.add.outer(np.arange(dim), np.arange(dim))
-    return bins.reshape(a.shape + (dim, dim)) * _phase_shift(theta, dim)
+    return bins.reshape(a.shape + (dim, dim)) * _phase_shift((theta,), dim)[0]
 
 
 @dataclass(frozen=True)
@@ -148,24 +141,26 @@ class BinLayout(_Rebuilt):
 
     def intervals(self):
         """Bin endpoints in ascending order, overflow bins outermost."""
+        return list(zip(*self._ends()))
+
+    def _ends(self) -> tuple:  # (lower, upper) endpoint arrays of the bins, ascending
         edges = self.edges()
-        finite = list(zip(edges[:-1], edges[1:]))
         if self.include_overflow:
-            return [(-math.inf, -self.x_max)] + finite + [(self.x_max, math.inf)]
-        return finite
+            edges = np.concatenate([[-math.inf], edges, [math.inf]])
+        return edges[:-1], edges[1:]
 
     def _bins(self, dim: int) -> tuple:
         """(phase-0 bins on dim levels, their deficit): the bins as one real
         read-only stack, checked PSD, and the spectral norm of (identity -
-        their sum).  Built on a layout's first use at dim; kept only if the
-        check passes."""
+        their sum), the largest |eigenvalue| of that symmetric matrix.  Built
+        on a layout's first use at dim; kept only if the check passes."""
         if dim not in self._memo:
             # copied: .real alone is a view that would keep the complex stack alive
-            bins = quadrature_bin_operator(0.0, *np.array(self.intervals()).T, dim).real.copy()
+            bins = quadrature_bin_operator(0.0, *self._ends(), dim).real.copy()
             eig_min = float(np.min(np.linalg.eigvalsh(bins)))
             if eig_min < EIGENVALUE_FLOOR:
                 raise ValueError(f"element is not PSD (min eigenvalue {eig_min:.3e})")
-            deficit = float(np.linalg.norm(np.eye(dim) - np.sum(bins, axis=0), ord=2))
+            deficit = float(np.max(np.abs(np.linalg.eigvalsh(np.eye(dim) - np.sum(bins, axis=0)))))
             bins.flags.writeable = False
             self._memo[dim] = (bins, deficit)
         return self._memo[dim]
@@ -200,12 +195,12 @@ class BinnedHomodyne(_Measurement):
     deficit: float = field(init=False)
 
     def __post_init__(self):
-        phases = _checked_phases(self.phases)
         if not isinstance(self.layout, BinLayout):
             raise TypeError("layout must be a BinLayout")
         dim = _checked_integer(self.dim, "dim")
+        phases = _checked_phases(self.phases, dim)
         base, deficit = self.layout._bins(dim)
-        shifts = np.stack([_phase_shift(t, dim) for t in phases])[:, None]
+        shifts = _phase_shift(phases, dim)[:, None]
         elements = (base * shifts).reshape(-1, dim, dim)  # one product, no copy
         elements.flags.writeable = False
         object.__setattr__(self, "phases", phases)

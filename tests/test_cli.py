@@ -172,6 +172,19 @@ def test_rank_rejects_duplicate_phases():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("phases", ["1e308,0.5", "1e308", "0.5,-1e308"])
+def test_rank_rejects_phases_whose_shift_overflows(capsys, phases):
+    # a single such phase, which the orbit path never reads, is rejected as well
+    with pytest.raises(SystemExit) as err:
+        main(["rank", "--d", "3", f"--phases={phases}"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    theta = next(float(p) for p in phases.split(",") if abs(float(p)) > 1)
+    assert captured.out == ""
+    assert captured.err.splitlines()[1:] == [
+        f"povmrank: error: phase {theta!r} on dim=3 levels leaves the float range"]
+
+
 def test_rank_requires_exactly_one_support_spec():
     with pytest.raises(SystemExit) as err:
         main(["rank", "--d", "3", "--support", "0,1", "--m", "1"])

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -182,6 +183,29 @@ def test_non_finite_phases_are_rejected_before_any_arithmetic(bad):
             MeasurementSpec(sup, [0.0, bad])
         with pytest.raises(ValueError, match="phases must be finite"):
             rank_for(sup, 3, phases=[0.0, 1.0, bad])
+
+
+@pytest.mark.parametrize(
+    "support, phases",
+    [((0, 1, 2), [1e308, 0.5]), ((0, 1, 2), [1e308]), ((0, 1, 2), [0.5, -1e308]),
+     ((0, 4, 8), [3e307, 0.2]), ((5,), [1e308])],
+)
+def test_phases_whose_shift_overflows_are_rejected_before_any_arithmetic(support, phases):
+    # theta * max(support) must be finite, as povm checks theta * (dim - 1): one
+    # check and one message; a single phase, which the orbit path never reads, too
+    sup = SupportSet(support)
+    theta = next(p for p in phases if not math.isfinite(p * support[-1]))
+    message = f"phase {theta!r} on dim={support[-1] + 1} levels leaves the float range"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for build in (lambda: MeasurementSpec(sup, phases),
+                      lambda: rank_for(sup, len(phases), phases=phases),
+                      lambda: BinnedHomodyne(phases, BinLayout(3.0, 3), support[-1] + 1)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                build()
+    # a phase whose every shift stays finite is kept
+    assert MeasurementSpec(SupportSet((0,)), [1e308]).phases == (1e308,)
+    assert MeasurementSpec(sup, [1e308 / (2 * support[-1] + 1)]).phases
 
 
 # ---------------------------------------------------------------- numerical_rank

@@ -122,6 +122,15 @@ def test_vacuum_pdf_is_gaussian():
         )
 
 
+def test_pdf_rejects_a_phase_whose_shift_overflows():
+    # theta (dim - 1) overflows: the same check and message as the measurements
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^phase 1e\+308 on dim=3 levels leaves the float range$"):
+            homodyne_pdf_grid(DensityMatrix.pure([1.0, 0.0, 1.0]), 1e308, [0.0])
+    assert homodyne_pdf_grid(DensityMatrix.pure([1.0]), 1e308, [0.0])[0] == pytest.approx(1.0 / SQRT_PI)
+
+
 def test_one_photon_pdf_vanishes_at_origin():
     one = DensityMatrix.pure([0.0, 1.0])
     assert homodyne_pdf_grid(one, 1.2, [0.0])[0] == 0.0

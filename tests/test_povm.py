@@ -149,7 +149,22 @@ def test_right_overflow_bin_is_parity_mirror_of_left(dim):
     assert err <= 1e-15
 
 
+def every_layout():
+    # d <= 15; n_bins 1, 2, 3, 7, 8, 2d - 1 and 4d; with and without overflow bins: 202 layouts
+    for dim in range(1, 16):
+        for n_bins in sorted({1, 2, 3, 7, 8, 2 * dim - 1, 4 * dim}):
+            for overflow in (True, False):
+                yield dim, BinLayout(default_x_max(dim), n_bins, overflow)
+
+
 def test_array_endpoints_equal_stacked_scalar_calls():
+    # a layout's phase-0 bins are its bins built one at a time, bit for bit (signed
+    # zeros too), and their deficit is the spectral norm of identity - sum
+    for dim, layout in every_layout():
+        bins, deficit = layout._bins(dim)
+        single = np.stack([quadrature_bin_operator(0.0, lo, hi, dim).real for lo, hi in layout.intervals()])
+        assert bins.tobytes() == single.tobytes(), (dim, layout)
+        assert abs(deficit - np.linalg.norm(np.eye(dim) - np.sum(bins, axis=0), ord=2)) <= 1e-15
     dim, theta = 7, 0.61
     lo, hi = np.array(BinLayout(default_x_max(dim), 2 * dim - 1).intervals()).T
     stack = quadrature_bin_operator(theta, lo, hi, dim)
@@ -209,15 +224,16 @@ def rotation_layouts(dim):
 
 @pytest.mark.parametrize("dim", [1, 2, 5, 12, 30])
 def test_rotated_set_is_bit_identical_to_a_build_at_that_phase(dim):
+    phases = ROTATION_PHASES + (1e3, -4.2e4, 1e6 + 0.3)  # n theta rounds at large phases
     for layout in rotation_layouts(dim):
-        measurement = BinnedHomodyne(ROTATION_PHASES, layout, dim)
+        measurement = BinnedHomodyne(phases, layout, dim)
         n_el = layout.n_elements
-        assert measurement.elements.shape == (len(ROTATION_PHASES) * n_el, dim, dim)
+        assert measurement.elements.shape == (len(phases) * n_el, dim, dim)
         lo, hi = np.array(layout.intervals()).T
-        for j, theta in enumerate(ROTATION_PHASES):  # setting-major, bins ascending
+        for j, theta in enumerate(phases):  # setting-major, bins ascending
             built = quadrature_bin_operator(theta, lo, hi, dim)
             block = measurement.elements[j * n_el : (j + 1) * n_el]
-            assert np.array_equal(block, built), (layout, theta)
+            assert block.tobytes() == built.tobytes(), (layout, theta)
             assert np.array_equal(block, build_binned_quadrature_povm(theta, layout, dim).elements)
         assert np.array_equal(measurement.born, real_coordinates(measurement.elements))
         for array in (measurement.elements, measurement.born):
