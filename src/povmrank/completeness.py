@@ -27,7 +27,6 @@ from .fock import (
 from .povm import BinnedHomodyne
 
 __all__ = [
-    "MeasurementSpec",
     "RankReport",
     "SweepTable",
     "predicted_rank",
@@ -52,9 +51,7 @@ _GOLDEN_FRAC = (math.sqrt(5.0) - 1.0) / 2.0
 def predicted_rank(d: int, m: int) -> int:
     """Closed-form count of independent elements induced by m quadrature
     phases on the full d-level subspace: m(2d-m) for m < d, else d^2."""
-    d, m = _checked_integer(d, "d"), _checked_integer(m, "m")
-    if d < 1 or m < 1:
-        raise ValueError("d and m must be positive")
+    d, m = _checked_integer(d, "d", 1), _checked_integer(m, "m", 1)
     if m >= d:
         return d * d
     return m * (2 * d - m)
@@ -69,9 +66,7 @@ def default_phases(support: SupportSet, m: int) -> list:
     components, so those use golden-ratio placement, which avoids all such
     resonances.
     """
-    m = _checked_integer(m, "m")
-    if m < 1:
-        raise ValueError("m must be positive")
+    m = _checked_integer(m, "m", 1)
     if support.is_contiguous:
         return [j * math.pi / m for j in range(m)]
     return sorted(math.fmod(j * _GOLDEN_FRAC, 1.0) * math.pi for j in range(m))
@@ -82,22 +77,16 @@ def _mod_pi(phases) -> list:
     return sorted(math.fmod(math.fmod(p, math.pi) + math.pi, math.pi) for p in phases)
 
 
-@dataclass(frozen=True)
-class MeasurementSpec:
-    """Quadrature settings on a Fock support: the support and its phases,
-    pairwise distinct mod pi.  design_matrix derives everything else."""
-
-    support: SupportSet
-    phases: tuple
-
-    def __post_init__(self):
-        if not isinstance(self.support, SupportSet):
-            raise TypeError("support must be a SupportSet")
-        phases = _checked_phases(self.phases, self.support.indices[-1] + 1)
-        red = _mod_pi(phases)  # the gaps between neighbours on the circle of length pi
-        if any(b - a <= PHASE_DISTINCT_TOL for a, b in zip(red, red[1:] + [red[0] + math.pi])):
-            raise ValueError("phases must be pairwise distinct mod pi")
-        object.__setattr__(self, "phases", phases)
+def _distinct_phases(support: SupportSet, phases) -> tuple:
+    """Quadrature phases on a Fock support, as _checked_phases gives them on
+    max(support)+1 levels; they must be pairwise distinct mod pi."""
+    if not isinstance(support, SupportSet):
+        raise TypeError("support must be a SupportSet")
+    phases = _checked_phases(phases, support.indices[-1] + 1)
+    red = _mod_pi(phases)  # the gaps between neighbours on the circle of length pi
+    if any(b - a <= PHASE_DISTINCT_TOL for a, b in zip(red, red[1:] + [red[0] + math.pi])):
+        raise ValueError("phases must be pairwise distinct mod pi")
+    return phases
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,9 +153,10 @@ def _positive_node_table(top: int) -> np.ndarray:
     return table
 
 
-def design_matrix(spec: MeasurementSpec) -> np.ndarray:
+def design_matrix(support: SupportSet, phases) -> np.ndarray:
     """Measurement functionals over the s^2 real coordinates of Hermitian
     operators on the support: the dense reference that rank_for's count equals.
+    The phases must be finite and pairwise distinct mod pi.
 
     One row per (phase, node): the density functional rho -> p(x_i, theta_j)
     at the Gauss-Hermite nodes x_i of order 2*max(support)+2, which the
@@ -175,9 +165,10 @@ def design_matrix(spec: MeasurementSpec) -> np.ndarray:
     psi(x_i) psi(x_i)^T compressed to the support and turned to theta_j by
     diag(e^{i n theta_j}).
     """
-    sup = np.array(spec.support.indices)
+    phases = _distinct_phases(support, phases)
+    sup = np.array(support.indices)
     psi = hermite_function_table(int(sup[-1]), _hermgauss_nodes(2 * int(sup[-1]) + 2))[sup].T
-    turn = np.exp(1j * np.multiply.outer(spec.phases, sup))  # [phase, level]
+    turn = np.exp(1j * np.multiply.outer(phases, sup))  # [phase, level]
     turn = turn[:, None, :, None] * turn[:, None, None, :].conj()
     return real_coordinates(turn * (psi[:, :, None] * psi[:, None, :])).reshape(-1, sup.size**2)
 
@@ -263,17 +254,15 @@ def rank_for(support: SupportSet, m: int, phases=None) -> RankReport:
 
     Phases default to default_phases(support, m); explicit phases must
     number m.  The closed-form prediction is attached when the support is
-    contiguous 0..d-1.  The count is that of numerical_rank(design_matrix(spec)),
+    contiguous 0..d-1.  The count is that of numerical_rank(design_matrix(support, phases)),
     taken by _quadrature_rank from the node projectors at the positive nodes:
     the rows at -x are their mirror image.
     """
-    m = _checked_integer(m, "m")
-    if m < 1:
-        raise ValueError("m must be positive")
+    m = _checked_integer(m, "m", 1)
     if phases is None:
         phases = default_phases(support, m)  # distinct by construction
     else:
-        phases = MeasurementSpec(support, phases).phases
+        phases = _distinct_phases(support, phases)
         if len(phases) != m:
             raise ValueError(f"m={m} does not match the {len(phases)} phases given")
     sup = np.array(support.indices)
@@ -287,9 +276,7 @@ def rank_for(support: SupportSet, m: int, phases=None) -> RankReport:
 
 def min_phases_for_completeness(support: SupportSet, m_max: int) -> int | None:
     """Smallest m <= m_max whose default-phase rank reaches s^2, else None."""
-    m_max = _checked_integer(m_max, "m_max")
-    if m_max < 1:
-        raise ValueError("m_max must be positive")
+    m_max = _checked_integer(m_max, "m_max", 1)
     full = support.size**2
     for m in range(1, m_max + 1):
         if rank_for(support, m).numerical_rank == full:
@@ -360,12 +347,10 @@ class SweepTable:
 
 def sweep_table(d_range, m_range) -> SweepTable:
     """Rank reports for every (d, m) cell, equispaced phases, ascending order."""
-    d_values = tuple(sorted({_checked_integer(d, "d") for d in d_range}))
-    m_values = tuple(sorted({_checked_integer(m, "m") for m in m_range}))
+    d_values = tuple(sorted({_checked_integer(d, "d", 1) for d in d_range}))
+    m_values = tuple(sorted({_checked_integer(m, "m", 1) for m in m_range}))
     if not d_values or not m_values:
         raise ValueError("ranges must be non-empty")
-    if d_values[0] < 1 or m_values[0] < 1:
-        raise ValueError("d and m must be positive")
     reports = {}
     for d in d_values:
         for m in m_values:

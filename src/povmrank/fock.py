@@ -34,10 +34,13 @@ TRACE_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 
 
-def _checked_integer(value, what: str) -> int:
-    """value as an int; a bool or a number that is not integral raises TypeError."""
+def _checked_integer(value, what: str, low: int | None = None) -> int:
+    """value as an int; a bool or a number that is not integral raises TypeError,
+    and a value below low (1: positive, 0: non-negative) ValueError."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise TypeError(f"{what} must be an integer")
+    if low is not None and value < low:
+        raise ValueError(f"{what} must be {'positive' if low else 'non-negative'}")
     return int(value)
 
 
@@ -111,8 +114,7 @@ class DensityMatrix(_Rebuilt):
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityMatrix":
-        if _checked_integer(dim, "dim") < 1:
-            raise ValueError("dim must be positive")
+        dim = _checked_integer(dim, "dim", 1)
         return cls(np.eye(dim, dtype=complex) / dim)
 
 
@@ -134,9 +136,7 @@ class SupportSet:
 
     @classmethod
     def contiguous(cls, dim: int) -> "SupportSet":
-        if _checked_integer(dim, "dim") < 1:
-            raise ValueError("dim must be positive")
-        return cls(tuple(range(dim)))
+        return cls(tuple(range(_checked_integer(dim, "dim", 1))))
 
     @property
     def size(self) -> int:
@@ -151,51 +151,39 @@ class SupportSet:
 _LOG2_GAUSSIAN_FLOOR = (-0.5 / math.log(2.0)) * 2.0**60
 
 
-def _gaussian_seed(xa: np.ndarray):
-    """pi^-1/4 e^{-x^2/2} as (mantissa, binary exponent), underflow-free."""
-    t = (-0.5 / math.log(2.0)) * xa * xa
-    # fmax changes no clamped value; it gives NaN an exponent that casts to
-    # int64 without a warning, and its mantissa stays NaN
-    exponent = np.floor(np.fmax(t, _LOG2_GAUSSIAN_FLOOR))
-    mantissa = np.pi ** -0.25 * np.exp2(t - exponent)
-    return mantissa, exponent.astype(np.int64)
-
-
-def _hermite_rows(n_max: int, xa: np.ndarray):
-    """Yield psi_n(xa) for n = 0..n_max as (mantissa, binary exponent) pairs.
+def hermite_function_table(n_max: int, x) -> np.ndarray:
+    """All psi_n(x) for n = 0..n_max, shape (n_max+1,) + x.shape (a scalar x as (1,)).
 
     Gaussian-damped recurrence
-    psi_{n+1} = x sqrt(2/(n+1)) psi_n - sqrt(n/(n+1)) psi_{n-1}; after each
-    step both rows are divided by the power of two that brings the larger
-    into [1/2, 1), an exact scaling the running exponent takes up.  The
-    exponent also absorbs the Gaussian seed, which underflows bare float64
+    psi_{n+1} = x sqrt(2/(n+1)) psi_n - sqrt(n/(n+1)) psi_{n-1}, carried as
+    mantissa rows and a binary exponent; from row 2 on, after each step both
+    rows are divided by the power of two that brings the larger into
+    [1/2, 1), an exact scaling the running exponent takes up.  The exponent
+    also absorbs the seed pi^-1/4 e^{-x^2/2}, which underflows bare float64
     for |x| > ~37 even where psi_n is O(1), so each row stays accurate across
     the classically allowed region for n well beyond 1000.
     """
-    p_prev, exponent = _gaussian_seed(xa)
-    yield p_prev, exponent
-    if n_max == 0:
-        return
-    p = math.sqrt(2.0) * xa * p_prev
-    yield p, exponent
-    for k in range(1, n_max):
-        p_prev, p = p, math.sqrt(2.0 / (k + 1)) * xa * p - math.sqrt(k / (k + 1)) * p_prev
-        shift = np.frexp(np.maximum(np.abs(p_prev), np.abs(p)))[1]
-        p_prev, p, exponent = np.ldexp(p_prev, -shift), np.ldexp(p, -shift), exponent + shift
-        yield p, exponent
-
-
-def hermite_function_table(n_max: int, x) -> np.ndarray:
-    """All psi_n(x) for n = 0..n_max, shape (n_max+1, len(x))."""
-    if _checked_integer(n_max, "n_max") < 0:
-        raise ValueError("n_max must be non-negative")
+    n_max = _checked_integer(n_max, "n_max", 0)
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     # psi_n vanishes to double precision beyond |x| = 2^30, where the Gaussian's
     # binary exponent still fits an int64: +-inf and huge x give 0, NaN stays NaN
     xa = np.maximum(np.minimum(xa, 2.0**30), -(2.0**30))
+    t = (-0.5 / math.log(2.0)) * xa * xa
+    # fmax changes no clamped value; it gives NaN an exponent that casts to
+    # int64 without a warning, and its mantissa stays NaN
+    exponent = np.floor(np.fmax(t, _LOG2_GAUSSIAN_FLOOR))
+    p_prev = np.pi ** -0.25 * np.exp2(t - exponent)
+    exponent = exponent.astype(np.int64)
     table = np.empty((n_max + 1,) + xa.shape)
-    for n, (p, exponent) in enumerate(_hermite_rows(n_max, xa)):
-        np.ldexp(p, exponent, out=table[n])
+    np.ldexp(p_prev, exponent, out=table[0])
+    if n_max:
+        p = math.sqrt(2.0) * xa * p_prev
+        np.ldexp(p, exponent, out=table[1])
+    for k in range(1, n_max):
+        p_prev, p = p, math.sqrt(2.0 / (k + 1)) * xa * p - math.sqrt(k / (k + 1)) * p_prev
+        shift = np.frexp(np.maximum(np.abs(p_prev), np.abs(p)))[1]
+        p_prev, p, exponent = np.ldexp(p_prev, -shift), np.ldexp(p, -shift), exponent + shift
+        np.ldexp(p, exponent, out=table[k + 1])
     return table
 
 
@@ -215,8 +203,7 @@ def coherent_amplitudes(alpha: complex, n_cut: int) -> np.ndarray:
     Built by the stable recurrence c_{n+1} = c_n * alpha / sqrt(n+1),
     avoiding explicit factorials.
     """
-    if _checked_integer(n_cut, "n_cut") < 1:
-        raise ValueError("n_cut must be positive")
+    n_cut = _checked_integer(n_cut, "n_cut", 1)
     alpha = complex(alpha)
     c = np.zeros(n_cut, dtype=complex)
     c[0] = math.exp(-0.5 * (alpha.real**2 + alpha.imag**2))
@@ -231,8 +218,7 @@ def photon_number_probability(alpha: complex, n: int) -> float:
     Depends on alpha only through |alpha|^2, so coherent states of equal
     amplitude and arbitrary phase give identical statistics.
     """
-    if _checked_integer(n, "n") < 0:
-        raise ValueError("n must be non-negative")
+    n = _checked_integer(n, "n", 0)
     alpha = complex(alpha)
     mu = alpha.real**2 + alpha.imag**2
     if mu == 0.0:

@@ -85,9 +85,7 @@ def quadrature_bin_operator(theta: float, a, b, dim: int) -> np.ndarray:
     stack of their bins, shape a.shape + (dim, dim): the real phase-0 bins
     from one batch of G at every endpoint, times the phase factor.
     """
-    dim = _checked_integer(dim, "dim")
-    if dim < 1:
-        raise ValueError("dim must be positive")
+    dim = _checked_integer(dim, "dim", 1)
     (theta,) = _checked_phases((theta,), dim)
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if a.shape != b.shape:
@@ -119,17 +117,11 @@ class BinLayout(_Rebuilt):
         x_max = float(self.x_max)
         if not (x_max > 0 and math.isfinite(x_max)):
             raise ValueError("x_max must be positive and finite")
-        n_bins = self.n_bins
-        if isinstance(n_bins, float) and n_bins.is_integer():
-            n_bins = int(n_bins)
-        if isinstance(n_bins, bool) or not isinstance(n_bins, numbers.Integral):
-            raise TypeError("n_bins must be an integer")
-        if n_bins < 1:
-            raise ValueError("n_bins must be positive")
+        n_bins = _checked_integer(self.n_bins, "n_bins", 1)
         if not isinstance(self.include_overflow, (bool, np.bool_)):
             raise TypeError("include_overflow must be a bool")
         object.__setattr__(self, "x_max", x_max)
-        object.__setattr__(self, "n_bins", int(n_bins))
+        object.__setattr__(self, "n_bins", n_bins)
         object.__setattr__(self, "include_overflow", bool(self.include_overflow))
 
     @property
@@ -197,7 +189,7 @@ class BinnedHomodyne(_Measurement):
     def __post_init__(self):
         if not isinstance(self.layout, BinLayout):
             raise TypeError("layout must be a BinLayout")
-        dim = _checked_integer(self.dim, "dim")
+        dim = _checked_integer(self.dim, "dim", 1)
         phases = _checked_phases(self.phases, dim)
         base, deficit = self.layout._bins(dim)
         shifts = _phase_shift(phases, dim)[:, None]
@@ -253,9 +245,7 @@ class DisplacedCounting(_Measurement):
             raise ValueError("at least one displacement is required")
         if not np.isfinite(betas).all():
             raise ValueError("displacements must be finite")
-        n_detect, dim = _checked_integer(self.n_detect, "n_detect"), _checked_integer(self.dim, "dim")
-        if dim < 1:
-            raise ValueError("dim must be positive")
+        n_detect, dim = _checked_integer(self.n_detect, "n_detect"), _checked_integer(self.dim, "dim", 1)
         if n_detect < dim:
             raise ValueError("n_detect must be at least dim")
         elements = np.concatenate([_displaced_projectors(b, n_detect, dim) for b in betas])

@@ -159,8 +159,7 @@ def sample_homodyne(rho: DensityMatrix, theta: float, n_samples: int, seed: int)
     Inverse-CDF sampling on a 4096-point grid over [-x_max, x_max] with
     linear interpolation; bit-reproducible for a fixed seed.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be positive")
+    n_samples = _checked_integer(n_samples, "n_samples", 1)
     seed = _checked_seed(seed)
     x_max = default_x_max(rho.dim)
     xs = np.linspace(-x_max, x_max, SAMPLING_GRID_POINTS)
@@ -203,9 +202,7 @@ def simulate_dataset(
     """
     if rho.dim != measurement.dim:
         raise ValueError(f"state dim {rho.dim} != measurement dim {measurement.dim}")
-    total_per_setting = _checked_integer(total_per_setting, "total_per_setting")
-    if total_per_setting < 1:
-        raise ValueError("total_per_setting must be positive")
+    total_per_setting = _checked_integer(total_per_setting, "total_per_setting", 1)
     seed = _checked_seed(seed)
     probs = np.clip(measurement.born @ real_coordinates(rho.entries), 0.0, None)
     counts = []
@@ -242,9 +239,7 @@ def ml_reconstruct(data: MeasurementData, *, max_iters: int = 5000) -> Reconstru
     observed bin whose p reaches the 1e-300 floor stops it "singular" and
     warns.
     """
-    max_iters = _checked_integer(max_iters, "max_iters")
-    if max_iters < 0:
-        raise ValueError("max_iters must be non-negative")
+    max_iters = _checked_integer(max_iters, "max_iters", 0)
     dim = data.measurement.dim
     counts = data.counts.ravel().astype(float)
     total = counts.sum()

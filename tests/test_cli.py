@@ -166,10 +166,15 @@ def test_json_outputs_have_pinned_keys(capsys, argv, keys, cell_keys):
         assert payload["cells"] and all(list(cell) == cell_keys for cell in payload["cells"])
 
 
-def test_rank_rejects_duplicate_phases():
-    with pytest.raises(SystemExit) as err:
-        main(["rank", "--d", "3", "--phases", "0.2,0.2"])
-    assert err.value.code == 2
+def test_rank_rejects_duplicate_phases(capsys):
+    # equal, or equal mod pi (0.1 and 0.1 + pi): a usage error naming the rule
+    for phases in ("0.2,0.2", "0.1,3.241592653589793"):
+        with pytest.raises(SystemExit) as err:
+            main(["rank", "--d", "3", "--phases", phases])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == "povmrank: error: phases must be pairwise distinct mod pi"
 
 
 @pytest.mark.parametrize("phases", ["1e308,0.5", "1e308", "0.5,-1e308"])

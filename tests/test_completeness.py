@@ -11,7 +11,6 @@ from povmrank import (
     BinnedHomodyne,
     DensityMatrix,
     DisplacedCounting,
-    MeasurementSpec,
     SupportSet,
     build_binned_quadrature_povm,
     coherent_amplitudes,
@@ -22,12 +21,16 @@ from povmrank import (
     hermitian_to_real_vector,
     measurement_rank,
     min_phases_for_completeness,
+    ml_reconstruct,
     numerical_rank,
     photon_number_probability,
     povm_span_rank,
     predicted_rank,
+    quadrature_bin_operator,
     rank_for,
     real_coordinates,
+    sample_homodyne,
+    simulate_dataset,
     sweep_table,
 )
 
@@ -102,10 +105,53 @@ def _displaced_projector(beta, n, dim):
         (SupportSet.contiguous, (2.0,), "dim"),
         (DensityMatrix.maximally_mixed, (2.0,), "dim"),
         (DisplacedCounting, ([0.5], True, 2), "n_detect"),
+        (sample_homodyne, (DensityMatrix.maximally_mixed(2), 0.0, True, 1), "n_samples"),
+        (sample_homodyne, (DensityMatrix.maximally_mixed(2), 0.0, 2.5, 1), "n_samples"),
+        (BinLayout, (3.0, 3.0), "n_bins"),
+        (BinLayout, (3.0, np.float64(3.0)), "n_bins"),
     ],
 )
 def test_counting_api_rejects_sizes_that_are_not_integers(func, args, name):
     with pytest.raises(TypeError, match=f"^{name} must be an integer$"):
+        func(*args)
+
+
+def _simulated(total):
+    measurement = BinnedHomodyne([0.0, math.pi / 2], BinLayout(3.0, 3), 2)
+    return simulate_dataset(DensityMatrix.maximally_mixed(2), measurement, total, 1)
+
+
+@pytest.mark.parametrize(
+    "func, args, message",
+    [
+        pytest.param(predicted_rank, (0, 1), "d must be positive", id="predicted_rank-d"),
+        pytest.param(predicted_rank, (3, -1), "m must be positive", id="predicted_rank-m"),
+        pytest.param(default_phases, (SupportSet.contiguous(3), 0), "m must be positive", id="default_phases"),
+        pytest.param(rank_for, (SupportSet.contiguous(2), 0), "m must be positive", id="rank_for"),
+        pytest.param(rank_for, (SupportSet.contiguous(2), -1, [0.0]), "m must be positive", id="rank_for-phases"),
+        pytest.param(min_phases_for_completeness, (SupportSet.contiguous(3), 0), "m_max must be positive",
+                     id="min_phases_for_completeness"),
+        pytest.param(sweep_table, ([2, 0], [1]), "d must be positive", id="sweep_table-d"),
+        pytest.param(sweep_table, ([2], [1, -1]), "m must be positive", id="sweep_table-m"),
+        pytest.param(DensityMatrix.maximally_mixed, (0,), "dim must be positive", id="maximally_mixed"),
+        pytest.param(SupportSet.contiguous, (-1,), "dim must be positive", id="contiguous"),
+        pytest.param(hermite_function_table, (-1, [0.1]), "n_max must be non-negative", id="hermite_function_table"),
+        pytest.param(coherent_amplitudes, (0.5, 0), "n_cut must be positive", id="coherent_amplitudes"),
+        pytest.param(photon_number_probability, (0.5, -1), "n must be non-negative", id="photon_number_probability"),
+        pytest.param(quadrature_bin_operator, (0.0, -1.0, 1.0, 0), "dim must be positive",
+                     id="quadrature_bin_operator"),
+        pytest.param(DisplacedCounting, ([0.5], 3, 0), "dim must be positive", id="DisplacedCounting"),
+        pytest.param(BinnedHomodyne, ([0.0], BinLayout(3.0, 3), -1), "dim must be positive", id="BinnedHomodyne"),
+        pytest.param(BinLayout, (3.0, 0), "n_bins must be positive", id="BinLayout"),
+        pytest.param(sample_homodyne, (DensityMatrix.maximally_mixed(2), 0.0, 0, 1), "n_samples must be positive",
+                     id="sample_homodyne"),
+        pytest.param(_simulated, (0,), "total_per_setting must be positive", id="simulate_dataset"),
+        pytest.param(lambda iters: ml_reconstruct(_simulated(100), max_iters=iters), (-1,),
+                     "max_iters must be non-negative", id="ml_reconstruct"),
+    ],
+)
+def test_counting_api_rejects_sizes_below_their_bound(func, args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
         func(*args)
 
 
@@ -120,28 +166,24 @@ def test_dimension_reduction_recursion_matches_closed_form():
 
 
 def test_design_matrix_single_level_support():
-    spec = MeasurementSpec(SupportSet((0,)), [0.0, 1.0])
-    report = numerical_rank(design_matrix(spec))
+    report = numerical_rank(design_matrix(SupportSet((0,)), [0.0, 1.0]))
     assert report.numerical_rank == 1
 
 
 def test_design_matrix_one_phase_two_levels():
     # position-like cut: the antisymmetric off-diagonal component is missed
-    spec = MeasurementSpec(SupportSet((0, 1)), [0.0])
-    assert numerical_rank(design_matrix(spec)).numerical_rank == 3
+    assert numerical_rank(design_matrix(SupportSet((0, 1)), [0.0])).numerical_rank == 3
 
 
 def test_design_matrix_full_phase_set_saturates():
     for d in (2, 3, 5):
         sup = SupportSet.contiguous(d)
-        spec = MeasurementSpec(sup, default_phases(sup, d))
-        assert numerical_rank(design_matrix(spec)).numerical_rank == d * d
+        assert numerical_rank(design_matrix(sup, default_phases(sup, d))).numerical_rank == d * d
 
 
 def test_design_matrix_row_count():
     # Gauss-Hermite order 2*max(support)+2 = 6 nodes per phase
-    spec = MeasurementSpec(SupportSet((0, 1, 2)), (0.0, 0.9))
-    assert design_matrix(spec).shape == (12, 9)
+    assert design_matrix(SupportSet((0, 1, 2)), (0.0, 0.9)).shape == (12, 9)
 
 
 @pytest.mark.parametrize(
@@ -152,26 +194,29 @@ def test_design_matrix_matches_outer_product_rows(indices):
     """Closed-form continuous rows against the definition: the real
     coordinates of the projector |a><a| with a_k = psi_k(x) e^{i k theta}."""
     support = SupportSet(indices)
-    spec = MeasurementSpec(support, default_phases(support, 3))
+    phases = default_phases(support, 3)
     sup = np.array(indices)
     nodes = completeness._hermgauss_nodes(2 * max(indices) + 2)
     psi = hermite_function_table(int(sup[-1]), nodes)[sup]
     rows = []
-    for theta in spec.phases:
+    for theta in phases:
         for i in range(nodes.size):
             amp = psi[:, i] * np.exp(1j * sup * theta)
             rows.append(hermitian_to_real_vector(np.outer(amp, amp.conj())))
-    assert np.max(np.abs(design_matrix(spec) - np.vstack(rows))) < 1e-14
+    assert np.max(np.abs(design_matrix(support, phases) - np.vstack(rows))) < 1e-14
 
 
-def test_measurement_spec_validation():
+def test_design_matrix_and_rank_for_validate_phases():
     sup = SupportSet((0, 1, 2))
-    with pytest.raises(ValueError, match="distinct"):
-        MeasurementSpec(sup, [0.1, 0.1 + math.pi])
-    with pytest.raises(ValueError, match="distinct"):
-        MeasurementSpec(sup, [1e-12, math.pi - 1e-12])  # wraparound duplicates
-    with pytest.raises(ValueError, match="phase"):
-        MeasurementSpec(sup, ())
+    for build in (design_matrix, lambda support, phases: rank_for(support, max(len(phases), 1), phases)):
+        with pytest.raises(ValueError, match="distinct"):
+            build(sup, [0.1, 0.1 + math.pi])
+        with pytest.raises(ValueError, match="distinct"):
+            build(sup, [1e-12, math.pi - 1e-12])  # wraparound duplicates
+        with pytest.raises(ValueError, match="phase"):
+            build(sup, ())
+        with pytest.raises(TypeError, match="^support must be a SupportSet$"):
+            build((0, 1, 2), [0.0])
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
@@ -180,7 +225,7 @@ def test_non_finite_phases_are_rejected_before_any_arithmetic(bad):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="phases must be finite"):
-            MeasurementSpec(sup, [0.0, bad])
+            design_matrix(sup, [0.0, bad])
         with pytest.raises(ValueError, match="phases must be finite"):
             rank_for(sup, 3, phases=[0.0, 1.0, bad])
 
@@ -198,14 +243,15 @@ def test_phases_whose_shift_overflows_are_rejected_before_any_arithmetic(support
     message = f"phase {theta!r} on dim={support[-1] + 1} levels leaves the float range"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for build in (lambda: MeasurementSpec(sup, phases),
+        for build in (lambda: design_matrix(sup, phases),
                       lambda: rank_for(sup, len(phases), phases=phases),
                       lambda: BinnedHomodyne(phases, BinLayout(3.0, 3), support[-1] + 1)):
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 build()
     # a phase whose every shift stays finite is kept
-    assert MeasurementSpec(SupportSet((0,)), [1e308]).phases == (1e308,)
-    assert MeasurementSpec(sup, [1e308 / (2 * support[-1] + 1)]).phases
+    assert completeness._distinct_phases(SupportSet((0,)), [1e308]) == (1e308,)
+    assert completeness._distinct_phases(sup, [1e308 / (2 * support[-1] + 1)])
+    assert np.isfinite(design_matrix(SupportSet((0,)), [1e308])).all()
 
 
 # ---------------------------------------------------------------- numerical_rank
@@ -296,7 +342,7 @@ def test_rank_for_reaches_high_fock_indices_without_warnings(indices, rank):
 def _assert_rank_for_matches_full_svd(support, m, phases=None):
     """rank_for's blocks against the SVD of the whole design matrix."""
     report = rank_for(support, m, phases)
-    matrix = design_matrix(MeasurementSpec(support, phases or default_phases(support, m)))
+    matrix = design_matrix(support, phases or default_phases(support, m))
     full = numerical_rank(matrix)
     assert report.numerical_rank == full.numerical_rank
     assert report.singular_values.size == full.singular_values.size == min(matrix.shape)
@@ -338,7 +384,7 @@ def test_offset_blocks_match_the_full_svd_at_default_phases(d):
     support = SupportSet.contiguous(d)
     for m in range(1, 13):
         phases = default_phases(support, m)
-        full = numerical_rank(design_matrix(MeasurementSpec(support, phases)))
+        full = numerical_rank(design_matrix(support, phases))
         for blocks in (rank_for(support, m), rank_for(support, m, phases)):
             assert blocks.block_ranks is not None
             assert blocks.numerical_rank == full.numerical_rank
@@ -354,7 +400,7 @@ def test_offset_blocks_match_the_full_svd_on_sparse_supports(indices):
     for m in range(1, 6):
         phases = [j * math.pi / m for j in range(m)]
         blocks = rank_for(support, m, phases)
-        matrix = design_matrix(MeasurementSpec(support, phases))
+        matrix = design_matrix(support, phases)
         full = numerical_rank(matrix)
         assert blocks.block_ranks is not None
         assert blocks.numerical_rank == full.numerical_rank

@@ -396,10 +396,12 @@ def test_bin_layout_rejects_x_max_that_is_not_finite(x_max):
 
 
 def test_bin_layout_normalizes_integral_bin_counts():
-    for n_bins in (3.0, np.int64(3), np.float64(3.0)):
-        layout = BinLayout(3.0, n_bins)
-        assert type(layout.n_bins) is int and layout.n_elements == 5
-        assert layout == BinLayout(3.0, 3)
+    layout = BinLayout(3.0, np.int64(3))
+    assert type(layout.n_bins) is int and layout.n_elements == 5
+    assert layout == BinLayout(3.0, 3)
+    for n_bins in (3.0, np.float64(3.0)):  # a float is not a count, integral or not
+        with pytest.raises(TypeError, match="^n_bins must be an integer$"):
+            BinLayout(3.0, n_bins)
 
 
 @pytest.mark.parametrize("x_max", [True, False, np.True_, "5", None, 3.0 + 0j])
